@@ -30,14 +30,31 @@ kernel's throughput rather than for symmetry with the query side:
   open interval open instead of splitting it.  The split and unsplit
   bookings sum the same integer tick count, so every query is exact;
   the transition counter and the observer still see the call.
+
+Transition check
+----------------
+
+A hardware component constructs its ledger with its
+:class:`~repro.core.states.TransitionSpec`.  On the state-changing
+branch of ``transition`` the ledger then looks the ``(src, dst)`` edge
+up in the spec's declared set and raises
+:class:`IllegalTransitionError` for an undeclared one (the nRF2401
+cannot go ``power_down -> tx``; a model that does books TX current
+from a state the chip cannot be in).  Same-``(state, tag)`` calls
+return before the check and re-tags skip the lookup, so its cost is
+one set lookup per real state change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..sim.kernel import Simulator
-from .states import PowerStateTable
+from .states import PowerStateTable, TransitionSpec
+
+
+class IllegalTransitionError(RuntimeError):
+    """A ledger was driven along an edge its TransitionSpec omits."""
 
 
 class PowerStateLedger:
@@ -50,17 +67,36 @@ class PowerStateLedger:
         table: the component's power states.
         supply_v: supply voltage, used for E = I * V * t.
         initial_state: state the component starts in at t=0.
+        spec: the component's declared power-state machine; when
+            given, its states and initial state must match ``table``
+            and ``initial_state``, and every state change must be one
+            of its edges.
     """
 
     __slots__ = ("_sim", "component", "table", "supply_v", "_state",
                  "_tag", "_entered", "_ticks", "_transitions", "_closed",
-                 "on_transition", "_current_a", "_iv_coeff")
+                 "on_transition", "_current_a", "_iv_coeff", "spec",
+                 "_edges")
 
     def __init__(self, sim: Simulator, component: str,
                  table: PowerStateTable, supply_v: float,
-                 initial_state: str) -> None:
+                 initial_state: str,
+                 spec: Optional[TransitionSpec] = None) -> None:
         if supply_v <= 0:
             raise ValueError(f"supply voltage must be positive: {supply_v}")
+        self._edges: Optional[FrozenSet[Tuple[str, str]]] = None
+        if spec is not None:
+            if set(spec.states) != set(table.names()):
+                raise ValueError(
+                    f"{component}: spec states {sorted(spec.states)} "
+                    f"differ from the power-state table "
+                    f"{sorted(table.names())}")
+            if spec.initial != initial_state:
+                raise ValueError(
+                    f"{component}: spec starts in {spec.initial!r}, "
+                    f"the ledger in {initial_state!r}")
+            self._edges = frozenset(spec.transitions)
+        self.spec = spec
         self._sim = sim
         self.component = component
         self.table = table
@@ -124,6 +160,12 @@ class PowerStateLedger:
             if observer is not None:
                 observer(now, current_state, tag)
             return
+        if state != current_state:
+            edges = self._edges
+            if edges is not None and (current_state, state) not in edges:
+                raise IllegalTransitionError(
+                    f"{self.component}: undeclared power-state "
+                    f"transition {current_state!r} -> {state!r}")
         elapsed = now - self._entered
         if elapsed > 0:
             key = (current_state, self._tag)
@@ -264,4 +306,4 @@ class PowerStateLedger:
         return self.energy_j() / to_seconds(horizon)
 
 
-__all__ = ["PowerStateLedger"]
+__all__ = ["IllegalTransitionError", "PowerStateLedger"]

@@ -11,16 +11,15 @@ models declare a :class:`PowerStateTable` of the states they support.
 :class:`TransitionSpec` declares which state *changes* a component is
 allowed to make — the edges of its power-state machine.  The specs for
 the three energy-booking components live here, next to the calibration
-data they guard, and are verified two ways: statically by the lint
-suite's state-machine analysis (``repro.lint.statemachine`` proves the
-code encodes exactly these edges) and at runtime by the test suite.
-The fields must stay *literals*: the analyzer reads them from the AST
-without importing this module.
+data they guard.  Each component hands its spec to its
+:class:`~repro.core.ledger.PowerStateLedger`, which raises on any state
+change the spec does not declare — the check runs where the bug would
+happen, at the cost of one set lookup per real state change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Tuple
 
 
@@ -84,26 +83,17 @@ class TransitionSpec:
 
     Attributes:
         component: short label used in reports (``"radio"``).
-        module: module path (suffix) of the implementing class.
-        class_name: the class whose ledger encodes this machine.
         initial: state the ledger is constructed in.
-        states: every state (must equal the PowerStateTable's set).
+        states: every state (must equal the PowerStateTable's set,
+            and each must be reachable from ``initial``).
         transitions: the legal ``(src, dst)`` edges; self-loops are
             re-tags, never listed.
-        busy_flags: boolean attributes documented to be equivalent to
-            "state is in this subset" (``_tx_busy`` ⇔ ``state ==
-            "tx"``), which is what lets ``if self._tx_busy: raise``
-            guards narrow the static analysis.
     """
 
     component: str
-    module: str
-    class_name: str
     initial: str
     states: Tuple[str, ...]
     transitions: Tuple[Tuple[str, str], ...]
-    busy_flags: Tuple[Tuple[str, Tuple[str, ...]], ...] = field(
-        default=())
 
     def __post_init__(self) -> None:
         known = set(self.states)
@@ -121,6 +111,20 @@ class TransitionSpec:
                     f"{self.component}: self-loop {src!r} -> {dst!r} "
                     f"(a same-state change is a re-tag, not a "
                     f"transition)")
+        # A state no path enters can never be booked: its calibration
+        # row is dead and probably misplaced.
+        reached = {self.initial}
+        frontier = [self.initial]
+        while frontier:
+            src = frontier.pop()
+            for edge_src, dst in self.transitions:
+                if edge_src == src and dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        if reached != known:
+            raise ValueError(
+                f"{self.component}: state(s) {sorted(known - reached)} "
+                f"unreachable from {self.initial!r}")
 
     def allows(self, src: str, dst: str) -> bool:
         """Whether the machine may move from ``src`` to ``dst``."""
@@ -132,8 +136,6 @@ class TransitionSpec:
 #: deepens/lightens) the LPM from any state.
 MCU_TRANSITIONS = TransitionSpec(
     component="mcu",
-    module="hw/mcu.py",
-    class_name="Msp430",
     initial="sleep",
     states=("active", "sleep", "deep_sleep"),
     transitions=(
@@ -155,8 +157,6 @@ MCU_TRANSITIONS = TransitionSpec(
 #: quiesces the radio mid-sense.
 RADIO_TRANSITIONS = TransitionSpec(
     component="radio",
-    module="hw/radio.py",
-    class_name="Nrf2401",
     initial="power_down",
     states=("power_down", "standby", "tx", "rx", "cca"),
     transitions=(
@@ -172,14 +172,11 @@ RADIO_TRANSITIONS = TransitionSpec(
         ("cca", "standby"),         # sensing window complete
         ("cca", "power_down"),      # power_down() mid-sense (faults)
     ),
-    busy_flags=(("_tx_busy", ("tx",)),),
 )
 
 #: Biopotential ASIC (``repro/hw/asic.py``): a plain on/off switch.
 ASIC_TRANSITIONS = TransitionSpec(
     component="asic",
-    module="hw/asic.py",
-    class_name="BiopotentialAsic",
     initial="on",
     states=("on", "off"),
     transitions=(
@@ -188,14 +185,8 @@ ASIC_TRANSITIONS = TransitionSpec(
     ),
 )
 
-#: All declared component state machines, for tests and tooling.
-ALL_TRANSITION_SPECS: Tuple[TransitionSpec, ...] = (
-    MCU_TRANSITIONS, RADIO_TRANSITIONS, ASIC_TRANSITIONS,
-)
-
 
 __all__ = [
-    "ALL_TRANSITION_SPECS",
     "ASIC_TRANSITIONS",
     "MCU_TRANSITIONS",
     "PowerState",

@@ -27,7 +27,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import os
 import pickle
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
@@ -222,16 +224,21 @@ class ResultCache:
 
         Returns False (and stores nothing) for uncacheable configs or
         unpicklable results.  Writes are atomic (temp file + rename) so
-        a crashed run cannot leave a truncated entry.
+        a crashed run cannot leave a truncated entry, and each write
+        goes through its own uniquely named temp file, so concurrent
+        workers storing the same key never share one.
         """
         try:
             path = self._path_for(self.key_for(config))
         except Uncacheable:
             return False
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=self.root,
+                                        prefix=path.stem + ".",
+                                        suffix=".tmp")
+        tmp = Path(tmp_name)
         try:
-            with tmp.open("wb") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 pickle.dump(result, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
-from ..core.states import PowerState, PowerStateTable
+from ..core.states import ASIC_TRANSITIONS, PowerState, PowerStateTable
 from ..sim.kernel import Simulator
 from ..sim.simtime import to_seconds
 
@@ -46,7 +46,8 @@ class BiopotentialAsic:
             PowerState("off", 0.0),
         ])
         self.ledger = PowerStateLedger(
-            sim, name, table, calibration.asic_supply_v, initial_state="on")
+            sim, name, table, calibration.asic_supply_v, initial_state="on",
+            spec=ASIC_TRANSITIONS)
         self._sources: Dict[int, "SignalSource"] = {}
         self._reads = 0
 

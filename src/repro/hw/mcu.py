@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
-from ..core.states import PowerState, PowerStateTable
+from ..core.states import MCU_TRANSITIONS, PowerState, PowerStateTable
 from ..sim.kernel import Simulator
 from ..sim.simtime import TICKS_PER_SECOND, seconds
 from ..sim.trace import TraceRecorder
@@ -61,7 +61,8 @@ class Msp430:
             PowerState(DEEP_SLEEP, calibration.mcu_deep_sleep_a),
         ])
         self.ledger = PowerStateLedger(
-            sim, name, table, calibration.supply_v, initial_state=SLEEP)
+            sim, name, table, calibration.supply_v, initial_state=SLEEP,
+            spec=MCU_TRANSITIONS)
         self._cycles_executed = 0
         self._wakeups = 0
         # cycles -> ticks memo: task cycle counts come from the small
@@ -133,7 +134,6 @@ class Msp430:
     # ------------------------------------------------------------------
     # The memo write below is value-deterministic (same key, same
     # value), so callers — including span hooks — observe a pure map.
-    # effect: pure
     def cycles_to_ticks(self, cycles: int) -> int:
         """Duration of ``cycles`` core clock cycles, in simulation ticks."""
         ticks = self._ticks_memo.get(cycles)

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Set, TYPE_CHECKING
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
 from ..core.losses import LossAccountant, RadioEnergyCategory
-from ..core.states import PowerState, PowerStateTable
+from ..core.states import PowerState, PowerStateTable, RADIO_TRANSITIONS
 from ..sim.kernel import Simulator
 from ..sim.simtime import seconds, to_seconds
 from ..sim.trace import TraceRecorder
@@ -115,7 +115,7 @@ class Nrf2401:
         ])
         self.ledger = PowerStateLedger(
             sim, name, table, calibration.supply_v,
-            initial_state=POWER_DOWN)
+            initial_state=POWER_DOWN, spec=RADIO_TRANSITIONS)
         #: Called with (frame,) when a frame passes the hardware filters.
         self.on_frame: Optional[Callable[[Frame], None]] = None
         #: Hardware CRC check (ablation: False = stock-TOSSIM optimism).

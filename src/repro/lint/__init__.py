@@ -12,8 +12,9 @@ rules into named, machine-checked ones:
 ========  ==========================================================
 Code      Rule
 ========  ==========================================================
-DET001    no global/module-level RNG draws (seeded ``random.Random``
-          / NumPy ``Generator`` instances stay legal)
+DET001    no global/module-level RNG draws and no unseeded
+          ``random.Random()`` (seeded ``random.Random`` / NumPy
+          ``Generator`` instances stay legal)
 DET002    no wall-clock reads outside the configured allowlist
 DET003    no iteration over sets in order-sensitive packages
 FLT001    no float ``==``/``!=`` on energy/time-like values
@@ -21,29 +22,25 @@ EXC001    no bare or overbroad ``except`` without a reasoned waiver
 MUT001    no mutable default arguments
 CFG001    cache-fingerprinted config dataclasses must be annotated
           and hash-stable
+UNI001-4  units analysis of the energy model: no unit mixing, return
+          units match declared units, no I*I / V*V, calibration
+          constants carry units (:mod:`repro.lint.units`)
+RNG001-2  RNG provenance: every generator is seeded, from a seed
+          parameter or a Simulator-owned stream
+          (:mod:`repro.lint.rngprov`)
+FPC001-2  the fingerprint-closure pass: simulation code reads no
+          config attribute the result-cache key cannot see
+          (:mod:`repro.lint.fingerprint`)
+SUP001-2  waivers carry a reason, and a waiver whose rule no longer
+          fires on its line is itself a finding
 ========  ==========================================================
 
-On top of the per-line rules sit three *flow-sensitive tree analyses*
-(:mod:`repro.lint.dataflow` holds the shared machinery):
-
-========  ==========================================================
-Code      Analysis
-========  ==========================================================
-UNI001-4  dimensional checking of the energy model: units are seeded
-          from identifier suffixes (``_s``, ``_ma``, ``_mj``...) and
-          ``# unit: <expr>`` annotations, then propagated through
-          assignments, arithmetic and conversion calls
-          (:mod:`repro.lint.units`)
-SM001-5   power-state machines encoded in the hardware models are
-          verified against the ``TransitionSpec`` tables declared in
-          :mod:`repro.core.states`
-          (:mod:`repro.lint.statemachine`)
-RNG001-2  RNG provenance: every constructed generator must be seeded
-          from a value that derives from a seed parameter or a
-          Simulator-owned stream (:mod:`repro.lint.rngprov`)
-SUP002    waivers whose rule no longer fires on the waived line are
-          themselves findings (stale-waiver detection)
-========  ==========================================================
+Power-state legality, resource lifecycles and hook purity are runtime
+properties and are checked where they happen:
+:class:`~repro.core.ledger.PowerStateLedger` rejects any edge its
+component's ``TransitionSpec`` does not declare, and the test suite
+and ``tools/determinism_check.py`` pin the rest
+(``docs/static_analysis.md`` maps each bug class to its check).
 
 Run it as ``repro-ban lint src`` or ``python -m repro.lint src``.
 Findings are suppressed per line with a *reasoned* comment::
@@ -55,8 +52,7 @@ reported (SUP001), and one whose rule has stopped firing goes stale
 (SUP002).  Rule configuration lives in ``pyproject.toml`` under
 ``[tool.repro-lint]``; see :mod:`repro.lint.config` and
 ``docs/static_analysis.md`` for the catalog and the suppression
-policy.  The dynamic counterpart proving these static rules guard a
-real invariant is ``tools/determinism_check.py``.
+policy.
 """
 
 from __future__ import annotations

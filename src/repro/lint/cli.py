@@ -43,22 +43,6 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
                              "(overrides configuration)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="include waived findings in text output")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="enable incremental caching: replay "
-                             "content-unchanged files from "
-                             "DIR/lint-cache.json")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="with --cache-dir, report findings only "
-                             "for files whose content changed since "
-                             "the cached run")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan the tree analyses across N worker "
-                             "processes (findings identical to "
-                             "sequential; default: 1)")
-    parser.add_argument("--sarif", metavar="PATH", default=None,
-                        help="additionally write a SARIF 2.1.0 "
-                             "report to PATH (for GitHub code "
-                             "scanning upload)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
@@ -97,24 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         codes = tuple(code.strip() for code in args.select.split(",")
                       if code.strip())
         config = replace(config, select=codes)
-    cache = None
-    if args.cache_dir:
-        from .cache import LintCache
-        cache = LintCache(Path(args.cache_dir), config)
-    elif args.changed_only:
-        sys.stderr.write("error: --changed-only requires --cache-dir\n")
-        return 2
-    if args.jobs < 1:
-        sys.stderr.write("error: --jobs must be >= 1\n")
-        return 2
-    report = lint_paths(paths, config, cache=cache,
-                        changed_only=args.changed_only,
-                        jobs=args.jobs)
-    if args.sarif:
-        from .sarif import render_sarif
-        Path(args.sarif).write_text(render_sarif(report),
-                                    encoding="utf-8")
-        sys.stdout.write(f"wrote {args.sarif}\n")
+    report = lint_paths(paths, config)
     rendered = (render_json(report) if args.format == "json"
                 else render_text(report, args.show_suppressed))
     if args.output:

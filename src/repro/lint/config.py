@@ -24,6 +24,11 @@ with the code they police::
     pattern = "(Config|Spec)$"
     packages = ["core", "sim", ...]          # the cache-salted set
 
+    [tool.repro-lint.fpc]
+    roots = ["BanScenarioConfig", "MultiBanScenario"]
+    pattern = "(Config|Spec|Plan)$"
+    packages = ["core", "sim", ...]          # simulation code
+
 Unknown keys raise: a typo in lint configuration must not silently
 relax a rule.
 """
@@ -68,23 +73,6 @@ DEFAULT_UNITS_CONST_MODULES: Tuple[str, ...] = (
     "core/calibration.py", "data/paper_tables.py", "hw/",
 )
 
-#: Top-level packages the state-machine pass patrols for ledgers
-#: without a TransitionSpec and out-of-component transition calls.
-DEFAULT_SM_PACKAGES: Tuple[str, ...] = ("hw", "mac")
-
-#: Modules (path prefixes/suffixes) holding *observability* state: the
-#: effect pass treats mutations of objects defined here as benign —
-#: spans, metrics and traces may mutate themselves, never the
-#: simulation.
-DEFAULT_EFFECTS_OBS_MODULES: Tuple[str, ...] = ("obs/", "sim/trace.py")
-
-#: Attribute names whose ``is not None`` guards mark observability
-#: hook sites (``if self.spans is not None: ...``).
-DEFAULT_EFFECTS_HOOK_ATTRS: Tuple[str, ...] = ("spans", "_trace")
-
-#: Method names implementing the pull-based metrics hook protocol.
-DEFAULT_EFFECTS_HOOK_METHODS: Tuple[str, ...] = ("observe_metrics",)
-
 #: Root classes of the cache-fingerprint closure (FPC001/FPC002).
 DEFAULT_FPC_ROOTS: Tuple[str, ...] = ("BanScenarioConfig",
                                       "MultiBanScenario")
@@ -120,23 +108,12 @@ class LintConfig:
     #: Modules (path prefixes/suffixes) UNI004 holds to the
     #: unit-suffix-or-annotation standard for public float constants.
     units_const_modules: Tuple[str, ...] = DEFAULT_UNITS_CONST_MODULES
-    #: Top-level packages the state-machine pass patrols.
-    sm_packages: Tuple[str, ...] = DEFAULT_SM_PACKAGES
-    #: Observability modules whose state mutations are benign.
-    effects_obs_modules: Tuple[str, ...] = DEFAULT_EFFECTS_OBS_MODULES
-    #: Attribute names marking spans/trace hook guards.
-    effects_hook_attrs: Tuple[str, ...] = DEFAULT_EFFECTS_HOOK_ATTRS
-    #: Pull-based metrics hook method names (OBS003).
-    effects_hook_methods: Tuple[str, ...] = DEFAULT_EFFECTS_HOOK_METHODS
     #: Root classes of the cache-fingerprint closure.
     fpc_roots: Tuple[str, ...] = DEFAULT_FPC_ROOTS
     #: Class-name regex (``re.search``) selecting FPC002 candidates.
     fpc_pattern: str = DEFAULT_FPC_PATTERN
     #: Packages treated as simulation code by the FPC rules.
     fpc_packages: Tuple[str, ...] = DEFAULT_FPC_PACKAGES
-    #: Module-path suffixes the lifecycle pass (LIF rules) skips.
-    lifecycle_exclude_modules: Tuple[str, ...] = field(
-        default_factory=tuple)
     #: Module-path suffixes skipped entirely (fixtures, vendored code).
     exclude: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -209,30 +186,11 @@ def config_from_table(table: Dict[str, Any]) -> LintConfig:
                                      "tool.repro-lint.units")
     _reject_unknown(units, "tool.repro-lint.units")
 
-    statemachine = dict(table.pop("statemachine", {}))
-    sm_packages = _str_tuple(statemachine, "packages",
-                             "tool.repro-lint.statemachine")
-    _reject_unknown(statemachine, "tool.repro-lint.statemachine")
-
-    effects = dict(table.pop("effects", {}))
-    effects_obs_modules = _str_tuple(effects, "obs_modules",
-                                     "tool.repro-lint.effects")
-    effects_hook_attrs = _str_tuple(effects, "hook_attrs",
-                                    "tool.repro-lint.effects")
-    effects_hook_methods = _str_tuple(effects, "hook_methods",
-                                      "tool.repro-lint.effects")
-    _reject_unknown(effects, "tool.repro-lint.effects")
-
     fpc = dict(table.pop("fpc", {}))
     fpc_roots = _str_tuple(fpc, "roots", "tool.repro-lint.fpc")
     fpc_pattern = _str_value(fpc, "pattern", "tool.repro-lint.fpc")
     fpc_packages = _str_tuple(fpc, "packages", "tool.repro-lint.fpc")
     _reject_unknown(fpc, "tool.repro-lint.fpc")
-
-    lifecycle = dict(table.pop("lifecycle", {}))
-    lifecycle_exclude = _str_tuple(lifecycle, "exclude_modules",
-                                   "tool.repro-lint.lifecycle")
-    _reject_unknown(lifecycle, "tool.repro-lint.lifecycle")
 
     _reject_unknown(table, "tool.repro-lint")
     return LintConfig(
@@ -250,26 +208,12 @@ def config_from_table(table: Dict[str, Any]) -> LintConfig:
         units_const_modules=(defaults.units_const_modules
                              if units_const_modules is None
                              else units_const_modules),
-        sm_packages=(defaults.sm_packages if sm_packages is None
-                     else sm_packages),
-        effects_obs_modules=(defaults.effects_obs_modules
-                             if effects_obs_modules is None
-                             else effects_obs_modules),
-        effects_hook_attrs=(defaults.effects_hook_attrs
-                            if effects_hook_attrs is None
-                            else effects_hook_attrs),
-        effects_hook_methods=(defaults.effects_hook_methods
-                              if effects_hook_methods is None
-                              else effects_hook_methods),
         fpc_roots=(defaults.fpc_roots if fpc_roots is None
                    else fpc_roots),
         fpc_pattern=(defaults.fpc_pattern if fpc_pattern is None
                      else fpc_pattern),
         fpc_packages=(defaults.fpc_packages if fpc_packages is None
                       else fpc_packages),
-        lifecycle_exclude_modules=(
-            defaults.lifecycle_exclude_modules
-            if lifecycle_exclude is None else lifecycle_exclude),
         exclude=() if exclude is None else exclude,
     )
 

@@ -1,27 +1,22 @@
 """Shared infrastructure for the flow-sensitive lint analyses.
 
-PR 4's rules are line-local: each looks at one AST node.  The units,
-state-machine and RNG-provenance analyses need more — values that flow
-through assignments, guards that narrow what a later statement can see,
-and annotations that resolve genuine ambiguity.  This module holds the
-machinery those passes share:
+The per-file rules are line-local: each looks at one AST node.  The
+units and RNG-provenance analyses need more — values that flow through
+assignments and annotations that resolve genuine ambiguity.  This
+module holds the machinery those passes share:
 
 * **Inline annotations** — ``# unit: <expr>`` declares the physical
-  unit of the assignment (or function) on its line; ``# sm:
-  assume(state, ...)`` pins the power states a callback can be entered
-  in.  Both are comments, so they cost nothing at runtime and stay
-  next to the code they describe.
-* **Constant resolution** — module-level ``NAME = "literal"`` bindings
-  (the power-state name constants) and literal tuples, resolved
-  without importing the module.
+  unit of the assignment (or function) on its line.  It is a comment,
+  so it costs nothing at runtime and stays next to the code it
+  describes.
 * **Branch-aware walking helpers** — the ``TERMINATED`` sentinel and
   environment merge used by the forward passes to model early
   ``return``/``raise`` pruning.
 
-The analyses themselves live in :mod:`repro.lint.units`,
-:mod:`repro.lint.statemachine` and :mod:`repro.lint.rngprov`; they are
-*tree analyses* (see :mod:`repro.lint.engine`): they run after the
-per-line rules and may look across every file in the run.
+The analyses themselves live in :mod:`repro.lint.units` and
+:mod:`repro.lint.rngprov`; they are *tree analyses* (see
+:mod:`repro.lint.engine`): they run after the per-line rules and may
+look across every file in the run.
 """
 
 from __future__ import annotations
@@ -30,19 +25,12 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 #: ``# unit: <unit-expression>`` — declares the unit of the value bound
 #: (or returned) on this line.  The expression grammar is parsed by
 #: :func:`repro.lint.units.parse_unit`.
 _UNIT_ANNOTATION_RE = re.compile(r"^#\s*unit:\s*([^#]+?)\s*(?:#.*)?$")
-
-#: ``# sm: assume(a, b)`` — entry-state assumption for a method that is
-#: only ever reached from known power states (scheduled callbacks).
-_SM_ASSUME_RE = re.compile(
-    r"^#\s*sm:\s*assume\(\s*([a-z_][a-z0-9_]*(?:\s*,\s*[a-z_][a-z0-9_]*)*)"
-    r"\s*\)")
-
 
 def comment_tokens(lines: Sequence[str]) -> Dict[int, str]:
     """``{line_number: comment_text}`` for every *real* comment.
@@ -72,17 +60,6 @@ def unit_annotations(lines: Sequence[str]) -> Dict[int, str]:
     return found
 
 
-def sm_assumptions(lines: Sequence[str]) -> Dict[int, Tuple[str, ...]]:
-    """``{line_number: states}`` for every ``# sm: assume(...)`` comment."""
-    found: Dict[int, Tuple[str, ...]] = {}
-    for number, text in comment_tokens(lines).items():
-        match = _SM_ASSUME_RE.search(text)
-        if match is not None:
-            found[number] = tuple(
-                state.strip() for state in match.group(1).split(","))
-    return found
-
-
 def function_header_lines(node: ast.AST) -> range:
     """Source lines of a function's header (``def`` up to the body).
 
@@ -93,31 +70,6 @@ def function_header_lines(node: ast.AST) -> range:
     body = getattr(node, "body", None)
     last = body[0].lineno - 1 if body else first
     return range(first, max(first, last) + 1)
-
-
-def module_string_constants(tree: ast.AST) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` bindings, unmangled.
-
-    The hardware models name their power states through module
-    constants (``TX = "tx"``); the state-machine pass resolves those
-    names without importing the module.
-    """
-    constants: Dict[str, str] = {}
-    for node in getattr(tree, "body", []):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            constants[node.targets[0].id] = node.value.value
-    return constants
-
-
-def literal_or_none(node: ast.AST):
-    """``ast.literal_eval`` that returns None instead of raising."""
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, TypeError, SyntaxError, MemoryError):
-        return None
 
 
 #: Sentinel environment meaning "this path cannot fall through" —
@@ -147,12 +99,6 @@ def merge_envs(branches: List[Optional[Dict[str, _V]]]
     return merged
 
 
-def is_terminal_stmt(stmt: ast.stmt) -> bool:
-    """Whether ``stmt`` unconditionally leaves the current block."""
-    return isinstance(stmt, (ast.Return, ast.Raise, ast.Break,
-                             ast.Continue))
-
-
 def walk_skipping_lambdas(node: ast.AST):
     """``ast.walk`` that does not descend into nested lambdas/defs.
 
@@ -175,11 +121,7 @@ __all__ = [
     "TERMINATED",
     "comment_tokens",
     "function_header_lines",
-    "is_terminal_stmt",
-    "literal_or_none",
     "merge_envs",
-    "module_string_constants",
-    "sm_assumptions",
     "unit_annotations",
     "walk_skipping_lambdas",
 ]

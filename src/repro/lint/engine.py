@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ast
 import re
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -104,9 +103,9 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: Structured per-analysis payloads (e.g. the extracted state
-    #: machine graphs), keyed by analysis name; serialised into the
-    #: JSON report's ``analyses`` section.
+    #: Structured per-analysis payloads (the fingerprint closure),
+    #: keyed by analysis name; serialised into the JSON report's
+    #: ``analyses`` section.
     extras: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -226,190 +225,35 @@ def _rule_findings(ctx: FileContext) -> List[Finding]:
     return findings
 
 
-def _run_interprocedural(contexts: Sequence[FileContext],
-                         config: LintConfig
-                         ) -> Tuple[List[Finding], Dict[str, object]]:
-    """Build the call graph once, then run the graph-based passes."""
-    from . import effects, fingerprint, lifecycle
-    from .callgraph import build_call_graph
-    timings: Dict[str, float] = {}
-    started = time.perf_counter()
-    graph = build_call_graph(contexts)
-    timings["callgraph"] = round(time.perf_counter() - started, 6)
-    started = time.perf_counter()
-    findings, extras = effects.analyze_effects(contexts, config,
-                                               graph=graph)
-    timings["effects"] = round(time.perf_counter() - started, 6)
-    started = time.perf_counter()
-    fpc_findings, fpc_extras = fingerprint.analyze_fingerprint(
-        contexts, config, graph=graph)
-    timings["fingerprint"] = round(time.perf_counter() - started, 6)
-    findings.extend(fpc_findings)
-    extras.update(fpc_extras)
-    started = time.perf_counter()
-    lif_findings, lif_extras = lifecycle.analyze_lifecycles(
-        contexts, config, graph=graph)
-    timings["lifecycle"] = round(time.perf_counter() - started, 6)
-    findings.extend(lif_findings)
-    extras.update(lif_extras)
-    extras["timings"] = timings
-    return findings, extras
-
-
 def _run_tree_analyses(contexts: Sequence[FileContext],
                        config: LintConfig
                        ) -> Tuple[List[Finding], Dict[str, object]]:
-    """Run the flow-sensitive analyses over the whole context set.
+    """Run the cross-file analyses over the whole context set.
 
     Unlike per-file rules, a tree analysis sees every parsed file at
-    once: the units pass learns annotations tree-wide, the
-    state-machine pass matches specs in ``core/states.py`` against
-    classes in ``hw/``, and the interprocedural effect/fingerprint
-    passes share one whole-tree call graph.  An analysis runs when any
-    of its codes is enabled, and its findings are filtered per code
-    afterwards.  Wall-clock timings per analysis land in the report
-    extras (``analyses.timings``) so CI can watch lint cost.
+    once: the units pass learns annotations tree-wide, and the FPC
+    closure starts at the scenario config in ``net/`` and follows
+    field annotations into every other package.  An analysis runs when
+    any of its codes is enabled; its findings are filtered per code.
     """
-    from . import effects, fingerprint, lifecycle, rngprov, \
-        statemachine, units
-    analyses: Tuple[Tuple[str, Tuple[str, ...], object], ...] = (
-        ("units", units.CODES, units.analyze_units),
-        ("statemachine", statemachine.CODES,
-         statemachine.analyze_statemachines),
-        ("rngprov", rngprov.CODES, rngprov.analyze_rng),
-        ("interproc",
-         effects.CODES + fingerprint.CODES + lifecycle.CODES,
-         _run_interprocedural),
-    )
+    from . import fingerprint, rngprov, units
     findings: List[Finding] = []
     extras: Dict[str, object] = {}
-    timings: Dict[str, float] = {}
-    for name, codes, run in analyses:
+    for codes, run in ((units.CODES, units.analyze_units),
+                       (rngprov.CODES, rngprov.analyze_rng),
+                       (fingerprint.CODES,
+                        fingerprint.analyze_fingerprint)):
         if not any(config.rule_enabled(code) for code in codes):
             continue
-        started = time.perf_counter()
         result = run(contexts, config)  # type: ignore[operator]
-        elapsed = round(time.perf_counter() - started, 6)
         if isinstance(result, tuple):
             produced, extra = result
+            extras.update(extra)
         else:
-            produced, extra = result, None
+            produced = result
         findings.extend(item for item in produced
                         if config.rule_enabled(item.rule))
-        if extra:
-            sub = extra.pop("timings", None)
-            if isinstance(sub, dict):
-                timings.update(sub)
-            extras.update(extra)
-        timings[name] = elapsed
-    extras["timings"] = timings
     return findings, extras
-
-
-#: Fixed execution order of the tree analyses in parallel mode.  The
-#: interprocedural trio stays one task sharing one call graph (as in
-#: the sequential path — graph construction dominates its cost), while
-#: the other analyses and the per-file rule chunks fill the remaining
-#: workers.
-_TREE_ANALYSIS_ORDER = ("interproc", "units", "statemachine",
-                        "rngprov")
-
-
-def _analysis_spec(name: str) -> Tuple[Tuple[str, ...], object]:
-    """``(codes, runner)`` for one named tree analysis."""
-    from . import (effects, fingerprint, lifecycle, rngprov,
-                   statemachine, units)
-    table: Dict[str, Tuple[Tuple[str, ...], object]] = {
-        "units": (units.CODES, units.analyze_units),
-        "statemachine": (statemachine.CODES,
-                         statemachine.analyze_statemachines),
-        "rngprov": (rngprov.CODES, rngprov.analyze_rng),
-        "interproc": (effects.CODES + fingerprint.CODES
-                      + lifecycle.CODES, _run_interprocedural),
-    }
-    return table[name]
-
-
-#: ``(path, source, module_path)`` — what a pool worker needs to
-#: rebuild a FileContext (re-parsing beats pickling AST trees).
-_FileJob = Tuple[str, str, str]
-
-
-def _pool_contexts(files: Sequence[_FileJob],
-                   config: LintConfig) -> List[FileContext]:
-    contexts: List[FileContext] = []
-    for path, source, module_path in files:
-        ctx, _ = _collect_context(source, path, config,
-                                  module_path=module_path)
-        if ctx is not None:  # parse errors were reported by the parent
-            contexts.append(ctx)
-    return contexts
-
-
-def _pool_tree_task(name: str, files: Sequence[_FileJob],
-                    config: LintConfig
-                    ) -> Tuple[str, List[Finding], Dict[str, object],
-                               float]:
-    """Pool worker: one whole-tree analysis over every file."""
-    codes, run = _analysis_spec(name)
-    contexts = _pool_contexts(files, config)
-    started = time.perf_counter()
-    result = run(contexts, config)  # type: ignore[operator]
-    elapsed = round(time.perf_counter() - started, 6)
-    if isinstance(result, tuple):
-        produced, extra = result
-    else:
-        produced, extra = result, None
-    produced = [item for item in produced
-                if config.rule_enabled(item.rule)]
-    return name, produced, dict(extra or {}), elapsed
-
-
-def _lint_parallel(pending: Sequence[FileContext],
-                   all_files: Sequence[_FileJob],
-                   config: LintConfig, jobs: int, run_tree: bool
-                   ) -> Tuple[Dict[str, List[Finding]], List[Finding],
-                              Dict[str, object]]:
-    """Fan the tree analyses across a process pool.
-
-    Findings are byte-identical to the sequential path: each tree
-    analysis is deterministic over the same (re-parsed) contexts, and
-    the caller's per-file and global sorts fix any arrival-order
-    differences.  Only the timing extras differ between the two modes.
-
-    The per-file rules run here in the parent while the pool churns —
-    the parent already holds parsed contexts, so shipping rule work to
-    workers would only add re-parse and pickle cost for the cheapest
-    stage of the run.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    names = [name for name in _TREE_ANALYSIS_ORDER
-             if any(config.rule_enabled(code)
-                    for code in _analysis_spec(name)[0])] \
-        if run_tree else []
-    by_name: Dict[str, Tuple[List[Finding], Dict[str, object], float]] \
-        = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        tree_futures = [pool.submit(_pool_tree_task, name,
-                                    list(all_files), config)
-                        for name in names]
-        rule_out = {ctx.path: _rule_findings(ctx) for ctx in pending}
-        for future in tree_futures:
-            name, produced, extra, elapsed = future.result()
-            by_name[name] = (produced, extra, elapsed)
-    tree_findings: List[Finding] = []
-    extras: Dict[str, object] = {}
-    timings: Dict[str, float] = {}
-    for name in names:
-        produced, extra, elapsed = by_name[name]
-        tree_findings.extend(produced)
-        sub = extra.pop("timings", None)
-        if isinstance(sub, dict):
-            timings.update(sub)
-        extras.update(extra)
-        timings[name] = elapsed
-    extras["timings"] = timings
-    return rule_out, tree_findings, extras
 
 
 def _string_spans(tree: ast.AST) -> set:
@@ -474,9 +318,9 @@ def lint_source(source: str, path: str, config: Optional[LintConfig] = None,
                 module_path: Optional[str] = None) -> List[Finding]:
     """Lint one file's text; the core single-file entry point.
 
-    Tree analyses run too, over the single-file context set — which is
-    what lets a fixture co-locate a ``TransitionSpec`` with the class
-    it describes and still be checked end to end.
+    The tree analyses run too, over the single-file context set —
+    which is what lets a fixture co-locate a config dataclass with the
+    code that reads it and still be checked end to end.
     """
     config = config or LintConfig()
     ctx, parse_findings = _collect_context(source, path, config,
@@ -501,115 +345,39 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Sequence[Path],
-               config: Optional[LintConfig] = None,
-               cache: Optional[object] = None,
-               changed_only: bool = False,
-               jobs: int = 1) -> LintReport:
+               config: Optional[LintConfig] = None) -> LintReport:
     """Lint every Python file under ``paths`` into one report.
 
-    Parses everything first, then runs per-file rules and the
+    Parses everything first, then runs the per-file rules and the
     cross-file tree analyses over the full context set, and finally
     resolves suppressions file by file (stale-waiver detection needs
     the complete finding list for a file, including findings a tree
-    analysis reported into it from another module's spec).
-
-    ``cache`` (a :class:`repro.lint.cache.LintCache`) replays per-file
-    rule results for content-unchanged files and the whole tree
-    analysis for a fully unchanged tree.  ``changed_only`` additionally
-    filters the report to findings in files whose content changed
-    since the cached run (parse errors and cache-less runs count as
-    changed).
-
-    ``jobs > 1`` fans the tree analyses across a process pool while
-    the per-file rules run in this process.  Findings are
-    byte-identical to ``jobs=1``; only the timing extras differ.
-    Cache I/O stays in this process.
+    analysis reported into it).
     """
-    from .cache import source_digest  # late: cache imports our types
     config = config or LintConfig()
     report = LintReport()
     contexts: List[FileContext] = []
-    digests: Dict[str, str] = {}
-    sources: Dict[str, Tuple[str, str]] = {}
-    changed: set = set()
-    rule_results: Dict[str, List[Finding]] = {}
     for file_path in iter_python_files([Path(p) for p in paths]):
         module_path = _module_path(file_path)
         if any(module_path.endswith(suffix) or file_path.match(suffix)
                for suffix in config.exclude):
             continue
         source = file_path.read_text(encoding="utf-8")
-        path = str(file_path)
         ctx, parse_findings = _collect_context(
-            source, path, config, module_path=module_path)
+            source, str(file_path), config, module_path=module_path)
         report.files_scanned += 1
         if ctx is None:
-            changed.add(path)
             report.findings.extend(parse_findings)
             continue
-        digests[path] = source_digest(source)
-        sources[path] = (source, module_path)
         contexts.append(ctx)
-    pending: List[FileContext] = []
-    for ctx in contexts:
-        cached = cache.get_file(ctx.path, digests[ctx.path]) \
-            if cache is not None else None
-        if cached is None:
-            changed.add(ctx.path)
-            pending.append(ctx)
-        else:
-            rule_results[ctx.path] = cached
-    tree_findings: Optional[List[Finding]] = None
-    extras: Dict[str, object] = {}
-    if cache is not None:
-        key = cache.tree_key(sorted(digests.items()))
-        hit = cache.get_tree(key)
-        if hit is not None:
-            tree_findings, extras = hit
-    if jobs > 1 and (pending or tree_findings is None):
-        pool_started = time.perf_counter()
-        all_of = [(ctx.path,) + sources[ctx.path] for ctx in contexts]
-        rule_out, pool_tree, pool_extras = _lint_parallel(
-            pending, all_of, config, jobs,
-            run_tree=tree_findings is None)
-        for ctx in pending:
-            found = rule_out.get(ctx.path, [])
-            rule_results[ctx.path] = found
-            if cache is not None:
-                cache.put_file(ctx.path, digests[ctx.path], found)
-        if tree_findings is None:
-            tree_findings, extras = pool_tree, pool_extras
-            timings = extras.setdefault("timings", {})
-            if isinstance(timings, dict):
-                timings["pool_wall"] = round(
-                    time.perf_counter() - pool_started, 6)
-                timings["jobs"] = jobs
-            if cache is not None:
-                cache.put_tree(key, tree_findings, extras)
-    else:
-        for ctx in pending:
-            found = _rule_findings(ctx)
-            if cache is not None:
-                cache.put_file(ctx.path, digests[ctx.path], found)
-            rule_results[ctx.path] = found
-        if tree_findings is None:
-            tree_findings, extras = _run_tree_analyses(contexts, config)
-            if cache is not None:
-                cache.put_tree(key, tree_findings, extras)
-    if cache is not None:
-        extras = dict(extras)
-        extras["cache"] = cache.stats()
-        cache.save()
+    tree_findings, extras = _run_tree_analyses(contexts, config)
     report.extras.update(extras)
     by_path: Dict[str, List[Finding]] = {}
     for item in tree_findings:
         by_path.setdefault(item.path, []).append(item)
     for ctx in contexts:
-        findings = rule_results[ctx.path] + by_path.get(ctx.path, [])
+        findings = _rule_findings(ctx) + by_path.get(ctx.path, [])
         report.findings.extend(_finalize_file(ctx, findings))
-    if changed_only:
-        report.findings = [item for item in report.findings
-                           if item.path in changed]
     report.findings.sort(key=Finding.sort_key)
     return report
 

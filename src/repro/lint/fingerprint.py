@@ -5,12 +5,10 @@ The on-disk :class:`~repro.exec.cache.ResultCache` is keyed by
 the ``dataclasses.fields`` of :class:`BanScenarioConfig`, recursively
 through nested dataclasses, sequences and mappings.  Anything the
 simulation reads that is **not** reachable from that encoding can vary
-between two runs that hash identically — the cache-poisoning shape,
-and a cross-tenant correctness bug once the cache is shared
-(ROADMAP items 2 and 5).
+between two runs that hash identically — the cache-poisoning shape.
 
 This pass proves coverage statically, on top of the
-:mod:`repro.lint.callgraph` receiver typing:
+:mod:`repro.lint.callgraph` class index and receiver typing:
 
 * **The fingerprint closure** — class names reachable from the
   configured roots (``BanScenarioConfig``, ``MultiBanScenario``) via
@@ -162,7 +160,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
         infos = graph.classes.get(name, ())
         if not any(info.is_dataclass for info in infos):
             continue
-        fields, callables, classvars, _ = graph.class_attr_names(name)
+        fields, callables, classvars = graph.class_attr_names(name)
         known_attrs[name] = (fields, callables | classvars)
 
     #: name -> sample read site, for config-shaped dataclasses read in
@@ -183,12 +181,12 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
         ctx = function.ctx
         if not _is_salted(ctx, packages):
             continue
-        env = graph._local_env(function)
+        env = graph.local_env(function)
         for node in ast.walk(function.node):
             if not isinstance(node, ast.Attribute) \
                     or not isinstance(node.ctx, ast.Load):
                 continue
-            types = graph._expr_types(node.value, env)
+            types = graph.expr_types(node.value, env)
             for class_name in types:
                 if class_name in known_attrs:
                     fields, other = known_attrs[class_name]

@@ -4,11 +4,11 @@ The JSON document is the CI artifact (schema below); the text form is
 what developers read locally.  Suppressed findings appear in both —
 with their reasons — so waivers stay auditable instead of invisible.
 
-JSON schema (``schema_version`` 4)::
+JSON schema (``schema_version`` 5)::
 
     {
       "tool": "repro.lint",
-      "schema_version": 4,
+      "schema_version": 5,
       "ok": bool,                 # gate: no unsuppressed findings
       "files_scanned": int,
       "summary": {
@@ -22,51 +22,17 @@ JSON schema (``schema_version`` 4)::
          "message": str, "suppressed": bool, "reason": str|null},
         ...
       ],
-      "analyses": {               # tree-analysis artifacts
-        "state_machines": {       # per TransitionSpec component
-          "radio": {"module": str, "class": str, "initial": str,
-                    "states": [...], "declared": [[src, dst], ...],
-                    "encoded": [[src, dst], ...]},
-          ...
-        },
-        "call_graph": {           # whole-tree may-call graph
-          "functions": int, "classes": int, "call_sites": int,
-          "resolved_call_sites": int,
-          "edges": [[caller_qualname, callee_qualname], ...]
-        },
-        "effects": {              # fixed-point effect inference
-          "lattice": [...], "forbidden_in_hooks": [...],
-          "functions": {"module::Class.method": ["io", ...], ...},
-          "pure_pins": [...],
-          "hooks": {"span_guards": [...], "hook_methods": [...]}
-        },
+      "analyses": {
         "fingerprint": {          # cache-fingerprint closure
           "roots": [...], "closure": [...],
           "checked_dataclasses": [...]
-        },
-        "lifecycle": {            # typestate verification artifacts
-          "specs": [{"resource": str, "module": str,
-                     "classes": [...], "boundary": [[a, r], ...]},
-                    ...],
-          "functions_walked": int,
-          "boundary_obligations": int
-        },
-        "timings": {"units": float, "interproc": float, ...}
+        }
       }
     }
 
-Version 2 added ``analyses`` (the verified state-machine graphs, so CI
-artifacts double as machine-readable documentation of each component's
-power-state topology) and ``summary.stale_waivers``.  Version 3 added
-the interprocedural artifacts — ``call_graph``, per-function
-``effects``, the ``fingerprint`` closure — and per-analysis
-``timings``.  Version 4 added the ``lifecycle`` artifacts (the
-declared protocols and how many boundary obligations were proven)
-and, in parallel runs (``--jobs N``), ``timings.jobs`` plus
-``timings.pool_wall``; the per-analysis timing keys are identical in
-both modes (each pool task mirrors one sequential analysis, with the
-effect/fingerprint/lifecycle passes sharing a single ``interproc``
-call graph either way).
+Version 5 dropped the artifacts of the retired whole-tree analyses
+(``state_machines``, ``call_graph``, ``effects``, ``lifecycle``,
+``timings``); ``analyses`` now carries only the fingerprint closure.
 """
 
 from __future__ import annotations
@@ -76,7 +42,7 @@ from typing import Any, Dict, List
 
 from .engine import STALE_RULE, Finding, LintReport
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def finding_to_dict(finding: Finding) -> Dict[str, Any]:

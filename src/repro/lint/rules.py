@@ -10,7 +10,8 @@ what makes them unit-testable on five-line fixture snippets.
 The catalog:
 
 * DET001 — global-RNG draws perturb every other stream's sequence and
-  break seed-reproducibility; only named, seeded generators are legal.
+  break seed-reproducibility, and an unseeded ``random.Random()``
+  cannot be replayed at all; only named, seeded generators are legal.
 * DET002 — wall-clock reads make results depend on host speed; only
   allowlisted profiling files may time anything.
 * DET003 — set iteration order is salted per process; in packages
@@ -105,6 +106,11 @@ def _check_det001(context: FileContext) -> List[Finding]:
         in _import_from_bindings(tree, "numpy").items()
         if original == "random"}
 
+    random_classes = {
+        local for local, original
+        in _import_from_bindings(tree, "random").items()
+        if original == "Random"}
+
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.module == "random":
@@ -129,8 +135,18 @@ def _check_det001(context: FileContext) -> List[Finding]:
             if name is None:
                 continue
             parts = name.split(".")
-            if (len(parts) == 2 and parts[0] in random_aliases
-                    and parts[1] != "Random"):
+            is_random_class = (
+                (len(parts) == 2 and parts[0] in random_aliases
+                 and parts[1] == "Random")
+                or (len(parts) == 1 and parts[0] in random_classes))
+            if is_random_class:
+                if not node.args and not node.keywords:
+                    findings.append(context.finding(
+                        "DET001", node,
+                        f"{name}() with no seed draws OS entropy, so "
+                        "the run can never be replayed; pass a seed "
+                        "(e.g. Simulator.rng.stream(purpose))"))
+            elif len(parts) == 2 and parts[0] in random_aliases:
                 findings.append(context.finding(
                     "DET001", node,
                     f"{name}() draws from / mutates the process-global "
@@ -499,12 +515,14 @@ def _check_cfg001(context: FileContext) -> List[Finding]:
 # ----------------------------------------------------------------------
 RULES: Dict[str, Rule] = {
     rule.code: rule for rule in (
-        Rule("DET001", "no global/module-level RNG",
+        Rule("DET001", "no global/module-level or unseeded RNG",
              "Draws from the process-global random module (or bare "
              "numpy.random) depend on call order across the whole "
              "process, so adding one node perturbs every other "
-             "stream.  Only named, seeded generators — "
-             "random.Random(seed), numpy.random.default_rng(seed), "
+             "stream; random.Random() with no seed and SystemRandom "
+             "draw OS entropy and can never be replayed.  Only "
+             "named, seeded generators — random.Random(seed), "
+             "numpy.random.default_rng(seed), "
              "Simulator.rng.stream(purpose) — are legal.",
              _check_det001),
         Rule("DET002", "no wall-clock reads outside the allowlist",
@@ -549,14 +567,15 @@ RULES: Dict[str, Rule] = {
 
 
 def _no_check(context: FileContext) -> List[Finding]:
-    """Placeholder for analysis rules (they run as tree analyses)."""
+    """Placeholder for codes the tree analyses and the engine report."""
     return []
 
 
-#: Codes produced by the flow-sensitive tree analyses and the
-#: suppression machinery rather than per-file checks.  They live in
-#: the catalog so ``--list-rules``, ``--select`` and the docs cover
-#: them, but the engine never calls their (empty) check.
+#: Codes produced by the tree analyses (units, RNG provenance, the
+#: fingerprint closure) and the suppression machinery rather than
+#: per-file checks.  They live in the catalog so ``--list-rules``,
+#: ``--select`` and the docs cover them, but the engine never calls
+#: their (empty) check.
 ANALYSIS_RULES: Dict[str, Rule] = {
     rule.code: rule for rule in (
         Rule("UNI001", "no unit-mixing arithmetic",
@@ -583,37 +602,6 @@ ANALYSIS_RULES: Dict[str, Rule] = {
              "'# unit:' annotation is unauditable against the "
              "paper's tables.",
              _no_check),
-        Rule("SM001", "no undeclared power-state transitions",
-             "Every ledger.transition(...) the code can execute must "
-             "be a declared edge in the component's TransitionSpec "
-             "(repro/core/states.py) — and only the owning component "
-             "may drive its ledger.  The nRF2401 cannot go "
-             "POWER_DOWN -> TX; a model that can books TX current "
-             "from a state the hardware can't be in.",
-             _no_check),
-        Rule("SM002", "no declared-but-never-encoded transitions",
-             "A table row no code path implements is documentation "
-             "rot: the spec stops being the single source of truth "
-             "for what the model does.",
-             _no_check),
-        Rule("SM003", "every accounted state is reachable",
-             "A power state with a current draw in the "
-             "PowerStateTable but no entry path in the declared "
-             "graph can never be booked — its calibration data is "
-             "dead and probably misplaced.",
-             _no_check),
-        Rule("SM004", "spec and code structurally agree",
-             "The spec's state set and initial state must match the "
-             "encoded PowerStateTable and ledger initial_state, and "
-             "every transition target must be statically resolvable "
-             "— otherwise the verification is vacuous.",
-             _no_check),
-        Rule("SM005", "every ledger has a transition spec",
-             "A component that books energy through a "
-             "PowerStateLedger without declaring its TransitionSpec "
-             "is exempt from state-machine verification — exactly "
-             "where transition bugs then hide.",
-             _no_check),
         Rule("RNG001", "no unseeded RNG construction",
              "random.Random() / default_rng() with no argument (and "
              "SystemRandom anywhere) seed from OS entropy: the run "
@@ -625,29 +613,6 @@ ANALYSIS_RULES: Dict[str, Rule] = {
              "and bypasses the per-purpose stream split.  Seeds must "
              "flow from a seed parameter/attribute or a "
              "Simulator-owned stream (rng.stream(purpose)).",
-             _no_check),
-        Rule("OBS001", "hook-guarded statements are sim-pure",
-             "Code that only runs when spans/metrics/trace "
-             "observability is attached (inside an 'if self.spans is "
-             "not None:' guard) must not schedule events, draw RNG, "
-             "book energy, advance time or mutate simulation state — "
-             "otherwise runs with observability on diverge from runs "
-             "with it off, and every recorded energy figure is an "
-             "artifact of being watched.",
-             _no_check),
-        Rule("OBS002", "hook-guarded calls reach only sim-pure code",
-             "The interprocedural form of OBS001: a call inside a "
-             "hook guard must not *transitively* reach a function "
-             "with a forbidden effect.  The effect sets come from a "
-             "fixed-point analysis over the whole-tree call graph; "
-             "the finding names the offending call chain.",
-             _no_check),
-        Rule("OBS003", "pull-based metrics hooks only read",
-             "observe_metrics(registry, ...) implementations are "
-             "polled by the metrics layer; one that mutates "
-             "simulation state turns every scrape into a "
-             "perturbation.  They may only read state and write the "
-             "registry.",
              _no_check),
         Rule("FPC001", "no reads of unfingerprinted config attributes",
              "config_fingerprint encodes exactly the dataclass "
@@ -665,44 +630,6 @@ ANALYSIS_RULES: Dict[str, Rule] = {
              "from fingerprinted fields).  Anything else smuggles "
              "configuration past the cache key — the cache-poisoning "
              "shape.",
-             _no_check),
-        Rule("LIF001", "acquired resources are released on exit",
-             "A resource acquired on every path through a declared "
-             "boundary's acquire hook (radio power_up in on_start, a "
-             "periodic handle stored in on_start, a span phase "
-             "opened) must be released on every path out of its "
-             "release hook.  A leak never crashes — it silently "
-             "corrupts the energy integral: a radio left in standby "
-             "books 0.9 mA forever.  The finding carries the witness "
-             "exit path.",
-             _no_check),
-        Rule("LIF002", "no release without a matching acquire",
-             "Releasing a resource that is already released on every "
-             "path to the call (a second power_down) is an error for "
-             "non-idempotent releases: the nRF2401 model raises "
-             "RadioError at runtime; this proves it can't happen "
-             "statically.",
-             _no_check),
-        Rule("LIF003", "no use-after-release",
-             "send/start_rx/cca on a radio that every path has "
-             "already powered down is the use-after-release the "
-             "runtime RadioError guards catch dynamically.  Proving "
-             "it statically means the guard can never fire in "
-             "committed code.",
-             _no_check),
-        Rule("LIF004", "every resource has an owner",
-             "A discarded periodic handle can never be cancelled; an "
-             "unconditionally self-rescheduling one-shot with a "
-             "discarded handle is a periodic in disguise; a "
-             "constructed sink stored on self that no method ever "
-             "closes is never flushed.  Ownerless resources outlive "
-             "every stop path.",
-             _no_check),
-        Rule("LIF005", "acquire and release guards stay correlated",
-             "A conditional acquire whose release is guarded by a "
-             "*different* condition leaks exactly when the two "
-             "conditions disagree — the hardest leak to hit in "
-             "testing because both guards usually co-vary.",
              _no_check),
         Rule("SUP002", "no stale waivers",
              "A '# lint: allow(CODE)' comment on a line where CODE "

@@ -39,8 +39,8 @@ state is touched.  Span IDs come from a **store-local serial counter**
 deterministic), *not* from ``Simulator.next_serial()`` — consuming the
 simulator's serial would shift every ``Frame.frame_id`` and change the
 trace text of a spans-on run.  No wall clock and no module-global
-counters are involved, so ``repro.lint`` stays clean and repeat runs
-produce bit-identical span sets.  Cross-worker, :class:`SpanStore`
+counters are involved, so repeat runs produce bit-identical span sets
+(``tools/determinism_check.py`` check 4 proves both properties).  Cross-worker, :class:`SpanStore`
 snapshots merge with deterministic ID rebasing in submission order, so
 ``--jobs N`` output equals sequential.
 

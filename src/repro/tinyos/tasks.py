@@ -30,8 +30,8 @@ class Task:
         task_id: post-order id, unique *within its scheduler* and
             assigned by it.  A process-global counter here would leak
             state between scenarios: the second run in one process
-            would trace different serials than the first (repro.lint
-            DET001-adjacent; caught by tools/determinism_check.py).
+            would trace different serials than the first (caught by
+            the repeat-run check of tools/determinism_check.py).
     """
 
     body: Callable[[], None]

@@ -13,7 +13,7 @@ _NEXT_FRAME_ID = itertools.count(1)
 
 
 def fresh_generator() -> random.Random:
-    # BUG(RNG001): no seed -- OS entropy.
+    # BUG(RNG001, DET001): no seed -- OS entropy.
     return random.Random()
 
 

@@ -7,6 +7,7 @@ every batch entry point the analysis layer uses.
 """
 
 import dataclasses
+import multiprocessing
 import pickle
 
 import pytest
@@ -35,6 +36,23 @@ def _config(**overrides) -> BanScenarioConfig:
                     cycle_ms=30.0, measure_s=MEASURE_S, seed=7)
     defaults.update(overrides)
     return BanScenarioConfig(**defaults)
+
+
+#: Payload the cache-race workers store (large enough that the two
+#: writers' temp-file lifetimes overlap).
+_RACE_RESULT = {"energy_mj": [float(i) for i in range(20_000)]}
+
+
+def _race_puts(root, barrier, outcomes, rounds=25):
+    """Worker: store one key repeatedly, starting with its twin."""
+    cache = ResultCache(root=root, salt="race")
+    barrier.wait()
+    try:
+        stored = all(cache.put(_config(), _RACE_RESULT)
+                     for _ in range(rounds))
+    except OSError as exc:  # a temp file the twin renamed away
+        stored = repr(exc)
+    outcomes.put(stored)
 
 
 class TestExecutorDeterminism:
@@ -174,6 +192,27 @@ class TestResultCache:
         cache.put(_config(), "value")
         assert cache.clear() == 1
         assert list(cache.entries()) == []
+
+    def test_concurrent_puts_of_one_key_do_not_collide(self, tmp_path):
+        """Two processes storing the same config each write through
+        their own temp file: both stores succeed, the entry is whole
+        and no temp file is left behind."""
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(2)
+        outcomes = context.Queue()
+        workers = [context.Process(target=_race_puts,
+                                   args=(str(tmp_path), barrier,
+                                         outcomes))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        results = [outcomes.get(timeout=60) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=60)
+        assert results == [True, True]
+        cache = ResultCache(root=tmp_path, salt="race")
+        assert cache.get(_config()) == _RACE_RESULT
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_stats_render(self):
         stats = CacheStats(hits=2, misses=1, uncacheable=0)

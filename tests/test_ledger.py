@@ -1,9 +1,10 @@
-"""Unit tests for power states and the time-in-state energy ledger."""
+"""Unit tests for power states and the time-in-state energy ledger,
+including its transition-spec edge check."""
 
 import pytest
 
-from repro.core.ledger import PowerStateLedger
-from repro.core.states import PowerState, PowerStateTable
+from repro.core.ledger import IllegalTransitionError, PowerStateLedger
+from repro.core.states import PowerState, PowerStateTable, TransitionSpec
 from repro.sim.kernel import Simulator
 from repro.sim.simtime import seconds
 
@@ -17,6 +18,24 @@ def make_table():
 
 def make_ledger(sim, initial="off", supply=2.0):
     return PowerStateLedger(sim, "dev", make_table(), supply, initial)
+
+
+#: A three-state machine for the edge-check tests: ``off`` must pass
+#: through ``idle`` to reach ``on``.
+DEV_SPEC = TransitionSpec(
+    component="dev",
+    initial="off",
+    states=("off", "idle", "on"),
+    transitions=(("off", "idle"), ("idle", "on"), ("on", "idle"),
+                 ("idle", "off")),
+)
+
+
+def make_checked_ledger(sim):
+    table = PowerStateTable([PowerState("off", 1e-3),
+                             PowerState("idle", 2e-3),
+                             PowerState("on", 10e-3)])
+    return PowerStateLedger(sim, "dev", table, 2.0, "off", spec=DEV_SPEC)
 
 
 class TestPowerState:
@@ -268,3 +287,25 @@ if HAVE_HYPOTHESIS:
             sim.run_until(now + 1)
             assert ledger.transitions == len(script)
             assert ledger.energy_j() >= 0.0
+
+
+class TestLedgerEdgeCheck:
+    def test_undeclared_edge_raises(self, sim):
+        ledger = make_checked_ledger(sim)
+        with pytest.raises(IllegalTransitionError, match="'off' -> 'on'"):
+            ledger.transition("on")
+        # The rejected call booked nothing and left the state alone.
+        assert ledger.state == "off"
+        assert ledger.transitions == 0
+
+    def test_declared_edges_and_retags_pass(self, sim):
+        ledger = make_checked_ledger(sim)
+        sim.at(10, lambda: ledger.transition("idle"))
+        sim.at(20, lambda: ledger.transition("on", tag="burst"))
+        sim.at(30, lambda: ledger.retag("tail"))
+        sim.at(40, lambda: ledger.transition("on", tag="tail"))
+        sim.at(50, lambda: ledger.transition("idle"))
+        sim.run_until(60)
+        assert ledger.state == "idle"
+        assert ledger.transitions == 5
+        assert ledger.ticks_in("on") == 30

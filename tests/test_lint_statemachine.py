@@ -1,29 +1,29 @@
-"""Tests for the power-state machine verification (SM001-SM005).
+"""Tests for the power-state machines and where they are enforced.
 
-A template component (``Widget``: standby -> tx -> cooldown ->
-standby) is linted through :func:`repro.lint.lint_source` and mutated
-per test case, so each rule is exercised both firing and silent.  The
-final classes pin the analyzer against the real hardware models: every
-declared ``TransitionSpec`` in ``repro.core.states`` must match the
-transitions its class actually encodes, and the radio must honor its
-spec at runtime.
+Each hardware component hands its ``TransitionSpec`` to its
+:class:`~repro.core.ledger.PowerStateLedger`, which refuses a spec that
+disagrees with the component's power-state table and raises
+:class:`~repro.core.ledger.IllegalTransitionError` on any undeclared
+state change.  A template component (``Widget``: standby -> tx ->
+cooldown -> standby) is built from source and mutated per test case,
+so each check is exercised both firing and silent.  The final classes
+pin the real hardware models: every declared spec matches its
+component's table and initial state, and the radio's ``RadioError``
+guards refuse to leave power-down by any path but ``power_up``.
+(The module's name dates from the static state-machine pass these
+runtime checks replaced.)
 """
-
-import pathlib
-import textwrap
 
 import pytest
 
-from repro.core.states import (ALL_TRANSITION_SPECS, ASIC_TRANSITIONS,
-                               MCU_TRANSITIONS, RADIO_TRANSITIONS,
-                               TransitionSpec)
+from repro.core.ledger import IllegalTransitionError
+from repro.core.states import (ASIC_TRANSITIONS, MCU_TRANSITIONS,
+                               RADIO_TRANSITIONS, TransitionSpec)
+from repro.hw.asic import BiopotentialAsic
 from repro.hw.frames import Frame, FrameKind
+from repro.hw.mcu import Msp430
 from repro.hw.radio import Nrf2401, RadioError
-from repro.lint import LintConfig, lint_paths, lint_source, load_config
 from repro.phy.channel import Channel
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "tests" / "fixtures" / "lint"
 
 #: A spec-conforming three-state component.  Tests mutate this source
 #: with plain string replacement; every replacement target is unique.
@@ -33,8 +33,6 @@ from repro.core.states import PowerState, PowerStateTable, TransitionSpec
 
 SPEC = TransitionSpec(
     component="widget",
-    module="hw/widget.py",
-    class_name="Widget",
     initial="standby",
     states=("standby", "tx", "cooldown"),
     transitions=(
@@ -42,7 +40,6 @@ SPEC = TransitionSpec(
         ("tx", "cooldown"),
         ("cooldown", "standby"),
     ),
-    busy_flags=(("_tx_busy", ("tx",)),),
 )
 
 
@@ -54,7 +51,8 @@ class Widget:
             PowerState("cooldown", 0.002),
         ])
         self.ledger = PowerStateLedger(sim, "widget", table, 3.0,
-                                       initial_state="standby")
+                                       initial_state="standby",
+                                       spec=SPEC)
         self._tx_busy = False
 
     def fire(self):
@@ -73,91 +71,55 @@ class Widget:
 '''
 
 
-def fired(source, module_path="hw/widget.py", config=None):
-    findings = lint_source(source, "<fixture>",
-                           config or LintConfig(),
-                           module_path=module_path)
-    return sorted(f.rule for f in findings if not f.suppressed)
+def build(source, sim):
+    """Execute a Widget source and construct its component."""
+    namespace = {}
+    exec(compile(source, "<widget>", "exec"), namespace)
+    return namespace["Widget"](sim)
 
 
 class TestCleanMachine:
-    def test_template_is_clean(self):
-        assert fired(WIDGET) == []
-
-    def test_ledger_guard_narrowing(self):
-        # Re-guard finish() on the ledger state instead of the busy
-        # flag and drop the busy_flags declaration entirely: the
-        # state-compare narrowing alone must keep the machine clean.
-        source = WIDGET.replace(
-            '    busy_flags=(("_tx_busy", ("tx",)),),\n', "")
-        source = source.replace('if self._tx_busy:',
-                                'if self.ledger.state == "tx":')
-        assert fired(source) == []
-
-    def test_busy_flag_narrowing_is_load_bearing(self):
-        # Same machine without the busy_flags declaration: the
-        # analyzer can no longer prove finish() runs only in "tx",
-        # so the conservative standby -> cooldown edge appears.
-        source = WIDGET.replace(
-            '    busy_flags=(("_tx_busy", ("tx",)),),\n', "")
-        assert fired(source) == ["SM001"]
-
-    def test_sm_assume_annotation(self):
-        source = WIDGET.replace(
-            '    busy_flags=(("_tx_busy", ("tx",)),),\n', "")
-        source = source.replace("def finish(self):",
-                                "def finish(self):  # sm: assume(tx)")
-        source = source.replace("        if self._tx_busy:\n"
-                                "            self._tx_busy = False\n"
-                                "            self.ledger.transition"
-                                '("cooldown")',
-                                "        self._tx_busy = False\n"
-                                "        self.ledger.transition"
-                                '("cooldown")')
-        assert fired(source) == []
+    def test_template_is_clean(self, sim):
+        widget = build(WIDGET, sim)
+        for start in (10, 40):
+            sim.at(start, widget.fire)
+            sim.at(start + 10, widget.finish)
+            sim.at(start + 20, widget.settle)
+        sim.run_until(100)
+        ledger = widget.ledger
+        assert ledger.state == "standby"
+        assert ledger.transitions == 6
+        assert ledger.ticks_in("tx") == 20
+        assert ledger.ticks_in("cooldown") == 20
 
 
 class TestSm001Undeclared:
-    def test_guarded_undeclared_edge(self):
-        source = WIDGET + textwrap.indent(textwrap.dedent('''
-            def abort(self):
-                if self.ledger.state == "tx":
-                    self.ledger.transition("standby")
-            '''), "    ")
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert [f.rule for f in findings] == ["SM001"]
-        assert "'tx' -> 'standby'" in findings[0].message
+    def test_guarded_undeclared_edge(self, sim):
+        source = WIDGET + '''
+    def abort(self):
+        if self.ledger.state == "tx":
+            self.ledger.transition("standby")
+'''
+        widget = build(source, sim)
+        widget.fire()
+        with pytest.raises(IllegalTransitionError,
+                           match="'tx' -> 'standby'"):
+            widget.abort()
+        assert widget.ledger.state == "tx"
 
-    def test_out_of_component_transition(self):
-        source = textwrap.dedent('''
-            def force_tx(node):
-                node.radio.ledger.transition("tx")
-            ''')
-        assert fired(source, module_path="mac/driver.py") == ["SM001"]
-
-    def test_out_of_package_is_silent(self):
-        source = textwrap.dedent('''
-            def force_tx(node):
-                node.radio.ledger.transition("tx")
-            ''')
-        assert fired(source, module_path="analysis/foo.py") == []
-
-
-class TestSm002DeadDeclaration:
-    def test_declared_never_encoded(self):
-        source = WIDGET.replace(
-            '        ("cooldown", "standby"),\n',
-            '        ("cooldown", "standby"),\n'
-            '        ("tx", "standby"),\n')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert [f.rule for f in findings] == ["SM002"]
-        assert "'tx' -> 'standby'" in findings[0].message
+    def test_out_of_component_transition(self, sim, cal):
+        # Driving the radio's ledger around its RadioError guards
+        # still cannot book TX current from power-down.
+        radio = Nrf2401(sim, cal, Channel(sim), "a")
+        with pytest.raises(IllegalTransitionError,
+                           match="'power_down' -> 'tx'"):
+            radio.ledger.transition("tx")
+        assert radio.state == "power_down"
+        assert radio.ledger.transitions == 0
 
 
 class TestSm003Unreachable:
-    def test_ghost_state_with_energy_accounting(self):
+    def test_ghost_state_with_energy_accounting(self, sim):
         source = WIDGET.replace(
             '    states=("standby", "tx", "cooldown"),\n',
             '    states=("standby", "tx", "cooldown", "ghost"),\n')
@@ -165,94 +127,24 @@ class TestSm003Unreachable:
             '            PowerState("cooldown", 0.002),\n',
             '            PowerState("cooldown", 0.002),\n'
             '            PowerState("ghost", 1.0),\n')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert [f.rule for f in findings] == ["SM003"]
-        assert "ghost" in findings[0].message
+        with pytest.raises(ValueError, match="ghost.*unreachable"):
+            build(source, sim)
 
 
 class TestSm004Structural:
-    def test_non_literal_spec(self):
-        source = WIDGET.replace(
-            '    states=("standby", "tx", "cooldown"),\n',
-            '    states=make_states(),\n')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        # The broken spec cascades: the class is treated as unspecced
-        # (SM005) and its transition calls as out-of-component
-        # (SM001).  The root cause must still be named.
-        assert any(f.rule == "SM004"
-                   and "not a literal declaration" in f.message
-                   for f in findings)
-
-    def test_missing_class(self):
-        source = WIDGET.replace('    class_name="Widget",',
-                                '    class_name="Gadget",')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        # Widget itself is now an unspecced ledger class -> SM005 too.
-        assert sorted(f.rule for f in findings) == ["SM004", "SM005"]
-        assert any("Gadget" in f.message for f in findings
-                   if f.rule == "SM004")
-
-    def test_no_ledger_constructed(self):
-        source = WIDGET.replace(
-            '        self.ledger = PowerStateLedger(sim, "widget", '
-            'table, 3.0,\n'
-            '                                       '
-            'initial_state="standby")\n',
-            '        self.ledger = None\n')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert "SM004" in [f.rule for f in findings]
-
-    def test_initial_state_mismatch(self):
+    def test_initial_state_mismatch(self, sim):
         source = WIDGET.replace('    initial="standby",',
                                 '    initial="tx",')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert "SM004" in [f.rule for f in findings]
-        assert any("initial" in f.message for f in findings
-                   if f.rule == "SM004")
+        with pytest.raises(ValueError, match="starts in"):
+            build(source, sim)
 
-    def test_state_set_mismatch(self):
+    def test_state_set_mismatch(self, sim):
         source = WIDGET.replace(
             '            PowerState("cooldown", 0.002),\n',
             '            PowerState("cooldown", 0.002),\n'
             '            PowerState("ghost", 1.0),\n')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert any(f.rule == "SM004"
-                   and "power-state table" in f.message
-                   for f in findings)
-
-    def test_unresolvable_transition_target(self):
-        source = WIDGET.replace(
-            '            self.ledger.transition("tx")',
-            '            self.ledger.transition(pick_state())')
-        findings = lint_source(source, "<fixture>", LintConfig(),
-                               module_path="hw/widget.py")
-        assert "SM004" in [f.rule for f in findings]
-
-
-class TestSm005UnspeccedLedger:
-    SOURCE = textwrap.dedent('''
-        from repro.core.ledger import PowerStateLedger
-        from repro.core.states import PowerState, PowerStateTable
-
-        class Widget:
-            def __init__(self, sim):
-                table = PowerStateTable([PowerState("on", 0.001)])
-                self.ledger = PowerStateLedger(sim, "w", table, 3.0,
-                                               initial_state="on")
-        ''')
-
-    def test_ledger_without_spec(self):
-        assert fired(self.SOURCE,
-                     module_path="hw/widget.py") == ["SM005"]
-
-    def test_outside_sm_packages_is_silent(self):
-        assert fired(self.SOURCE, module_path="analysis/foo.py") == []
+        with pytest.raises(ValueError, match="power-state table"):
+            build(source, sim)
 
 
 class TestTransitionSpecRuntime:
@@ -264,55 +156,57 @@ class TestTransitionSpecRuntime:
 
     def test_initial_must_be_known(self):
         with pytest.raises(ValueError, match="initial"):
-            TransitionSpec(component="x", module="m", class_name="C",
-                           initial="nope", states=("a", "b"),
-                           transitions=(("a", "b"),))
+            TransitionSpec(component="x", initial="nope",
+                           states=("a", "b"), transitions=(("a", "b"),))
 
     def test_edges_must_reference_known_states(self):
         with pytest.raises(ValueError, match="unknown state"):
-            TransitionSpec(component="x", module="m", class_name="C",
-                           initial="a", states=("a", "b"),
-                           transitions=(("a", "zz"),))
+            TransitionSpec(component="x", initial="a",
+                           states=("a", "b"), transitions=(("a", "zz"),))
 
     def test_self_loops_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            TransitionSpec(component="x", module="m", class_name="C",
-                           initial="a", states=("a", "b"),
-                           transitions=(("a", "a"),))
+            TransitionSpec(component="x", initial="a",
+                           states=("a", "b"), transitions=(("a", "a"),))
+
+    def test_unreachable_state_rejected(self):
+        with pytest.raises(ValueError, match=r"\['c'\] unreachable"):
+            TransitionSpec(component="x", initial="a",
+                           states=("a", "b", "c"),
+                           transitions=(("a", "b"), ("c", "a")))
+
+
+#: ``component -> constructor`` for every energy-booking part.
+HARDWARE = {
+    "mcu": lambda sim, cal: Msp430(sim, cal),
+    "radio": lambda sim, cal: Nrf2401(sim, cal, Channel(sim), "a"),
+    "asic": lambda sim, cal: BiopotentialAsic(sim, cal),
+}
 
 
 class TestSpecsMatchHardware:
-    """The PR's acceptance gate: declared == encoded for every spec."""
+    """Every hardware ledger is checked against its declared spec."""
 
-    @pytest.fixture(scope="class")
-    def graphs(self):
-        config = load_config([ROOT / "pyproject.toml"])
-        report = lint_paths([ROOT / "src"], config)
-        sm = [f for f in report.findings
-              if f.rule.startswith("SM") and not f.suppressed]
-        assert sm == []
-        return report.extras["state_machines"]
-
-    def test_all_specs_extracted(self, graphs):
-        assert sorted(graphs) == ["asic", "mcu", "radio"]
-        assert len(ALL_TRANSITION_SPECS) == 3
+    def test_all_specs_extracted(self, sim, cal):
+        ledgers = [make(sim, cal).ledger for make in HARDWARE.values()]
+        assert sorted(ledger.spec.component for ledger in ledgers) \
+            == ["asic", "mcu", "radio"]
 
     @pytest.mark.parametrize("spec", [MCU_TRANSITIONS,
                                       RADIO_TRANSITIONS,
                                       ASIC_TRANSITIONS],
                              ids=["mcu", "radio", "asic"])
-    def test_declared_matches_encoded(self, graphs, spec):
-        graph = graphs[spec.component]
-        assert graph["class"] == spec.class_name
-        assert graph["initial"] == spec.initial
-        assert graph["states"] == sorted(spec.states)
-        declared = sorted(list(edge) for edge in spec.transitions)
-        assert graph["declared"] == declared
-        assert graph["encoded"] == declared
+    def test_declared_matches_encoded(self, sim, cal, spec):
+        ledger = HARDWARE[spec.component](sim, cal).ledger
+        assert ledger.spec is spec
+        assert ledger.state == spec.initial
+        assert sorted(ledger.table.names()) == sorted(spec.states)
+        assert len(spec.states) == len(set(spec.states))
 
 
 class TestRadioHonorsSpec:
-    """Runtime pinning of the POWER_DOWN guards the analyzer forced."""
+    """The POWER_DOWN guards behind RADIO_TRANSITIONS' missing
+    ``power_down -> rx/tx`` edges."""
 
     def data_frame(self):
         return Frame(src="a", dest="b", kind=FrameKind.DATA,
@@ -340,20 +234,3 @@ class TestRadioHonorsSpec:
         a.send(self.data_frame())
         sim.run_until(10_000_000)
         assert len(received) == 1
-
-
-class TestIllegalTransitionFixture:
-    def test_seeded_bugs_all_caught(self):
-        source = (FIXTURES / "illegal_transition.py").read_text(
-            encoding="utf-8")
-        findings = lint_source(source,
-                               str(FIXTURES / "illegal_transition.py"),
-                               LintConfig(),
-                               module_path="hw/illegal_transition.py")
-        assert sorted(f.rule for f in findings) == [
-            "SM001", "SM002", "SM003"]
-        by_rule = {f.rule: f for f in findings}
-        assert by_rule["SM001"].line == 50   # off -> tx jump
-        assert "'off' -> 'tx'" in by_rule["SM001"].message
-        assert "'idle' -> 'off'" in by_rule["SM002"].message
-        assert "ghost" in by_rule["SM003"].message

@@ -271,12 +271,13 @@ class TestUni004Constants:
 
 class TestRngProvenance:
     def test_unseeded_random(self):
+        # DET001 flags the no-seed construct too; RNG001 the entropy.
         assert fired("""
             import random
 
             def make():
                 return random.Random()
-            """) == ["RNG001"]
+            """) == ["DET001", "RNG001"]
 
     def test_system_random_fires_both_layers(self):
         # DET001 flags the construct itself; RNG001 flags the entropy.
@@ -381,6 +382,7 @@ class TestSeededFixtures:
         findings = self.lint_fixture("unseeded_rng.py",
                                      "mac/unseeded_rng.py")
         assert sorted((f.rule, f.line) for f in findings) == [
+            ("DET001", 17),   # an unseeded Random() is a DET001 form
             ("DET001", 27),   # SystemRandom is also a global-RNG form
             ("RNG001", 17),   # random.Random() -- no seed
             ("RNG001", 27),   # SystemRandom -- OS entropy
@@ -418,7 +420,7 @@ class TestJsonSchemaV4:
             "LIMIT = 3.3\n", encoding="utf-8")
         report = lint_paths([tmp_path], LintConfig())
         document = json.loads(json.dumps(report_to_dict(report)))
-        assert document["schema_version"] == 4
+        assert document["schema_version"] == 5
         assert "analyses" in document
         assert document["summary"]["stale_waivers"] == 0
         assert [f["rule"] for f in document["findings"]] == ["UNI004"]

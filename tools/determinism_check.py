@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Dynamic determinism smoke: the invariant the static rules guard.
+"""Dynamic determinism smoke: bit-exact replay, end to end.
 
 ``repro.lint`` statically bans the things that *would* break bit-exact
-reproducibility (global RNG, wall-clock reads, set-ordered dispatch);
-this tool proves the invariant actually holds end to end.  Three
-checks, each over a reference scenario set:
+reproducibility (global or unseeded RNG, wall-clock reads, set-ordered
+dispatch); this tool proves the invariant actually holds end to end,
+and catches what no per-file rule can see — a generator seeded from a
+counter that changes between runs, or an observability hook that
+perturbs the simulation.  Four checks, each over a reference scenario
+set:
 
 1. **Repeat-run** — the same config run twice in one process must
    produce an identical energy result *and* an identical event trace
@@ -20,15 +23,6 @@ checks, each over a reference scenario set:
    run (result and trace fingerprints equal the spans-off run), the
    span set must be bit-identical across repeat runs, and the merged
    ``--jobs N`` span store must equal the sequential one.
-5. **Static/runtime hook agreement** (``--static-obs``) — the
-   interprocedural OBS pass (``repro.lint``) must be clean over
-   ``src``, and the set of classes it audited as carrying ``spans``
-   hook guards must agree with the classes the runtime
-   ``attach_span_tracer`` actually wires: every audited-and-
-   instantiated class receives the tracer, and every class that
-   receives it is audited.  Together with check 4 this closes the
-   loop — the perturbation test exercises exactly the hook surface
-   the static pass proved effect-free.
 
 Fingerprints are SHA-256 over the result cache's canonical dataclass
 encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
@@ -221,98 +215,6 @@ def check_spans(jobs: int, report: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _runtime_object_graph(scenario: Any) -> List[Any]:
-    """Every repro-package object reachable from ``scenario``."""
-    seen: Dict[int, Any] = {}
-    queue = [scenario]
-    while queue:
-        obj = queue.pop()
-        if id(obj) in seen:
-            continue
-        module = type(obj).__module__ or ""
-        if not module.startswith("repro."):
-            if isinstance(obj, dict):
-                queue.extend(obj.values())
-            elif isinstance(obj, (list, tuple, set, frozenset)):
-                queue.extend(obj)
-            continue
-        seen[id(obj)] = obj
-        try:
-            queue.extend(vars(obj).values())
-        except TypeError:
-            pass
-    return list(seen.values())
-
-
-def check_static_obs(report: Dict[str, Any]) -> List[str]:
-    """Check 5: static OBS audit == runtime span-hook surface.
-
-    Statically: lint ``src`` under the repository configuration and
-    require zero unsuppressed OBS findings, collecting the classes the
-    effect pass audited as guarding on ``spans``.  Dynamically: attach
-    a tracer to every reference scenario and walk its object graph for
-    the classes that actually received it.  The two sets must agree on
-    the instantiated surface in both directions.
-    """
-    from pathlib import Path
-
-    from repro.lint import lint_paths, load_config
-    from repro.obs import attach_span_tracer as attach
-
-    failures: List[str] = []
-    src = Path(__file__).resolve().parent.parent / "src"
-    config = load_config([src])
-    lint_report = lint_paths([src], config)
-    obs_findings = [f for f in lint_report.findings
-                    if f.rule.startswith("OBS") and not f.suppressed]
-    for finding in obs_findings:
-        failures.append(
-            f"static OBS pass not clean: {finding.rule} "
-            f"{finding.path}:{finding.line}")
-    hooks = lint_report.extras["effects"]["hooks"]
-    static_guarded = {guard["class"] for guard in hooks["span_guards"]
-                      if guard["attr"] == "spans" and guard["class"]}
-
-    # The static audit anchors each guard at the class that *defines*
-    # it; the runtime graph holds concrete subclasses.  Compare through
-    # the MRO so ``CsmaBaseMac`` matches its guard on ``BaseStationMac``.
-    instantiated: set = set()
-    runtime_hooked: set = set()
-    hooked_unaudited_set: set = set()
-    for config_obj in reference_configs():
-        scenario = BanScenario(config_obj)
-        tracer = attach(scenario)
-        for obj in _runtime_object_graph(scenario):
-            mro = {cls.__name__ for cls in type(obj).__mro__}
-            instantiated.update(mro)
-            if getattr(obj, "spans", None) is tracer:
-                runtime_hooked.update(mro & static_guarded)
-                if not (mro & static_guarded):
-                    hooked_unaudited_set.add(type(obj).__name__)
-
-    audited_unreached = sorted(
-        (static_guarded & instantiated) - runtime_hooked)
-    hooked_unaudited = sorted(hooked_unaudited_set)
-    report["static_obs"] = {
-        "obs_findings": len(obs_findings),
-        "static_guard_classes": sorted(static_guarded),
-        "runtime_hooked_classes": sorted(runtime_hooked),
-        "audited_but_not_attached": audited_unreached,
-        "attached_but_not_audited": hooked_unaudited,
-    }
-    if audited_unreached:
-        failures.append(
-            "statically audited spans-guard classes never receive the "
-            f"tracer at runtime: {audited_unreached} — the "
-            "perturbation check is not exercising them")
-    if hooked_unaudited:
-        failures.append(
-            "classes receive the span tracer but carry no statically "
-            f"audited guard: {hooked_unaudited} — the static pass is "
-            "not proving them effect-free")
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="End-to-end determinism smoke "
@@ -322,10 +224,6 @@ def main(argv=None) -> int:
                              "(default: 2)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write fingerprint report JSON to PATH")
-    parser.add_argument("--static-obs", action="store_true",
-                        help="also cross-check the static OBS hook "
-                             "audit against the runtime span "
-                             "attachment surface (check 5)")
     args = parser.parse_args(argv)
 
     report: Dict[str, Any] = {"tool": "determinism_check",
@@ -334,8 +232,6 @@ def main(argv=None) -> int:
     failures += check_repeat_run(report["checks"])
     failures += check_jobs_equivalence(args.jobs, report["checks"])
     failures += check_spans(args.jobs, report["checks"])
-    if args.static_obs:
-        failures += check_static_obs(report["checks"])
     report["ok"] = not failures
     report["failures"] = failures
 
@@ -347,10 +243,8 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"DETERMINISM BROKEN: {failure}", file=sys.stderr)
         return 1
-    suffix = (" and static/runtime hook audit agrees"
-              if args.static_obs else "")
     print("determinism ok: repeat-run, jobs equivalence, merged "
-          f"telemetry and causal spans all bit-identical{suffix}")
+          "telemetry and causal spans all bit-identical")
     return 0
 
 
