@@ -56,9 +56,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
@@ -68,6 +65,8 @@ from .cache import ResultCache
 from .errors import ErrorResult, ScenarioTimeoutError, timeout_result
 
 if TYPE_CHECKING:  # imported lazily at runtime (workers build their own)
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..obs.metrics import MetricsRegistry
     from ..obs.profiler import SimulationProfiler
     from ..obs.spans import SpanStore
@@ -243,6 +242,11 @@ class ScenarioExecutor:
         are *finished* — recomputing a deterministic failure would only
         duplicate side effects — so they are never re-dispatched.
         """
+        # Imported here so jobs=1 runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         remaining = list(pooled)
         deferred: Optional[BaseException] = None
         attempt = 0

@@ -35,14 +35,17 @@ relax a rule.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-try:  # Python >= 3.11
+# A version check rather than try/except, so mypy at the declared
+# 3.10 floor sees the fallback and 3.11+ sees the real module.
+if sys.version_info >= (3, 11):
     import tomllib
-except ImportError:  # pragma: no cover - exercised only on 3.9/3.10
-    tomllib = None  # type: ignore[assignment]
+else:  # pragma: no cover - exercised only on 3.10
+    tomllib = None
 
 #: Wall-clock allowlist applied when pyproject carries no det002 table.
 DEFAULT_DET002_ALLOW: Tuple[str, ...] = ()

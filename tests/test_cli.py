@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import BATTERIES, build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -104,3 +111,19 @@ class TestExecution:
         assert csv_path.read_text().startswith("node,")
         assert '"node": "node1"' in json_path.read_text()
         assert vcd_path.read_text().startswith("$date")
+
+
+class TestImportGraph:
+    def test_cold_import_loads_neither_numpy_nor_process_pool(self):
+        """Cold start stays cheap: the CLI and the batch layers pull in
+        neither numpy nor the process-pool machinery (the pool's
+        imports happen only when a pool starts)."""
+        code = ("import sys\n"
+                "import repro.cli, repro.analysis, repro.exec, repro.obs\n"
+                "print(sorted(m for m in ('numpy',"
+                " 'concurrent.futures.process') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env=env)
+        assert proc.stdout.strip() == "[]"

@@ -171,8 +171,8 @@ class TestChannel:
 
 
 class TestDistanceLossVectorised:
-    """The precomputed (numpy) PER table must equal the scalar formula
-    bit for bit — the fast path is value-transparent."""
+    """The precomputed PER table must equal the scalar formula bit for
+    bit — the table is value-transparent."""
 
     def test_table_matches_scalar_formula_exactly(self):
         topo = BodyTopology.body_preset()
@@ -184,15 +184,6 @@ class TestDistanceLossVectorised:
                                * topo.position_of(src).distance_to(
                                    topo.position_of(dst)))
                 assert model.per_for(src, dst) == expected
-
-    def test_scalar_fallback_agrees_with_table(self):
-        topo = BodyTopology.body_preset()
-        fast = DistanceLoss(topo, floor_per=0.0, slope_per_m=0.05)
-        slow = DistanceLoss(topo, floor_per=0.0, slope_per_m=0.05)
-        slow._per_table = None  # force the no-numpy path
-        for src in topo.nodes():
-            for dst in topo.nodes():
-                assert fast.per_for(src, dst) == slow.per_for(src, dst)
 
     def test_per_saturates_at_one(self):
         topo = BodyTopology({"a": Position(0.0, 0.0),
