@@ -5,7 +5,10 @@ TinyOS timer fires at the sampling frequency, a task acquires one ADC
 sample per monitored channel, and the application decides what (if
 anything) to hand the MAC at its next slot.  The skeleton lives here;
 subclasses implement :meth:`handle_samples` (what to do with a sample
-vector) and :meth:`next_payload` (what to transmit).
+vector) and :meth:`next_payload` (what to transmit).  ECG streaming,
+which never looks at the values it sends, replaces the acquisition
+step instead and records only the sample instant
+(:class:`~repro.apps.ecg_streaming.EcgStreamingApp`).
 
 MCU cost: each timer fire posts one task costing
 ``channels * sample_acquisition`` cycles plus whatever

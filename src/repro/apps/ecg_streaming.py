@@ -12,12 +12,19 @@ The on-air payload size is *fixed* (padding if the buffer runs short,
 as the platform does), so radio energy per cycle is deterministic; the
 packed codes travel as the frame's content for the base station to
 unpack.
+
+Because nothing in the energy model depends on the sample values, the
+app does not synthesise them as it samples.  Each sample task records
+its instant; a frame's codes are computed from those instants only when
+someone reads them (:class:`StreamPayload`).  Signal sources are pure
+functions of time (:mod:`repro.signals.sources`), so the codes are the
+ones an eager read would have produced.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.calibration import ModelCalibration
 from ..hw.adc import Adc12
@@ -73,8 +80,80 @@ def unpack_codes(packed: bytes, count: int) -> List[int]:
     return codes
 
 
+class StreamPayload(Mapping[str, Any]):
+    """Read-only content of one streaming frame, codes computed on demand.
+
+    Keys, as the base station sees them: ``kind`` (``"ecg_stream"``),
+    ``codes`` (the 12-bit codes, oldest first), ``packed``
+    (:func:`pack_codes` of them) and ``channels`` (the app's channel
+    tuple).  The first read of ``codes`` or ``packed`` evaluates each
+    code's ASIC channel at its recorded sample instant through the ADC
+    transfer function and caches the list; neither the ASIC's reads nor
+    the ADC's conversions are counted again.
+
+    Args:
+        asic: the front-end whose channel sources give the values.
+        adc: the ADC whose transfer function gives the codes.
+        channels: the app's sampled channels, in sample-vector order.
+        instants: the sample instant [ticks] of each code.
+        phase: position in ``channels`` of the first code.
+    """
+
+    __slots__ = ("_asic", "_adc", "_channels", "_instants", "_phase",
+                 "_codes")
+
+    _KEYS = ("kind", "codes", "packed", "channels")
+
+    def __init__(self, asic: BiopotentialAsic, adc: Adc12,
+                 channels: Sequence[int], instants: List[int],
+                 phase: int) -> None:
+        self._asic = asic
+        self._adc = adc
+        self._channels = channels
+        self._instants = instants
+        self._phase = phase
+        self._codes: Optional[List[int]] = None
+
+    def __getitem__(self, key: str) -> Any:
+        if key == "codes":
+            return self._materialise()
+        if key == "packed":
+            return pack_codes(self._materialise())
+        if key == "kind":
+            return "ecg_stream"
+        if key == "channels":
+            return self._channels
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._KEYS)
+
+    def __len__(self) -> int:
+        return len(self._KEYS)
+
+    def __repr__(self) -> str:
+        return f"StreamPayload({dict(self)!r})"
+
+    def _materialise(self) -> List[int]:
+        codes = self._codes
+        if codes is None:
+            value = self._asic.channel_value
+            quantise = self._adc.quantise
+            channels = self._channels
+            width = len(channels)
+            phase = self._phase
+            codes = [quantise(value(channels[(phase + i) % width], at))
+                     for i, at in enumerate(self._instants)]
+            self._codes = codes
+        return codes
+
+
 class EcgStreamingApp(SamplingApplication):
     """Stream packed ECG samples to the base station every cycle.
+
+    The backlog holds one sample instant per code slot (the same int
+    object for every channel of one sample vector); codes are computed
+    only when a frame's content is read (:class:`StreamPayload`).
 
     Args:
         payload_bytes: fixed on-air payload per cycle (default 18).
@@ -101,7 +180,11 @@ class EcgStreamingApp(SamplingApplication):
         self._capacity = codes_per_payload(payload_bytes)
         limit = buffer_limit_codes if buffer_limit_codes is not None \
             else 8 * self._capacity
+        self._buffer_limit = limit
         self._buffer: Deque[int] = deque(maxlen=limit)
+        #: Codes ever buffered; minus the backlog, the running index of
+        #: the oldest buffered code (payloads and drops split vectors).
+        self._codes_buffered = 0
         self.packets_provided = 0
         self.codes_sent = 0
         self.codes_dropped = 0
@@ -111,23 +194,33 @@ class EcgStreamingApp(SamplingApplication):
         """Codes currently awaiting transmission."""
         return len(self._buffer)
 
-    def handle_samples(self, codes: Tuple[int, ...]) -> None:
-        for code in codes:
-            if len(self._buffer) == self._buffer.maxlen:
-                self.codes_dropped += 1
-            self._buffer.append(code)
+    def _acquire(self) -> None:
+        # Same task, reads and conversions as the eager path, but only
+        # the instant is kept: streaming energy does not depend on the
+        # values, and sources are pure functions of time.
+        now = self._sim.now
+        if self.spans is not None:
+            self.spans.note_sample(self.spans_node, now, self._tick_cost)
+        width = len(self.channels)
+        self._asic.count_reads(self.channels)
+        self._adc.count_conversions(width)
+        self._samples_taken += 1
+        buffer = self._buffer
+        overflow = len(buffer) + width - self._buffer_limit
+        if overflow > 0:
+            self.codes_dropped += overflow
+        buffer.extend((now,) * width)
+        self._codes_buffered += width
 
     def next_payload(self) -> Optional[AppPayload]:
-        take = min(len(self._buffer), self._capacity)
-        codes = [self._buffer.popleft() for _ in range(take)]
+        buffer = self._buffer
+        first = self._codes_buffered - len(buffer)
+        take = min(len(buffer), self._capacity)
+        instants = [buffer.popleft() for _ in range(take)]
         self.packets_provided += 1
         self.codes_sent += take
-        content = {
-            "kind": "ecg_stream",
-            "codes": codes,
-            "packed": pack_codes(codes),
-            "channels": self.channels,
-        }
+        content = StreamPayload(self._asic, self._adc, self.channels,
+                                instants, first % len(self.channels))
         # Fixed-size frame: the platform always fills the ShockBurst
         # payload, padding when the buffer runs short.
         return (self.payload_bytes, content)
@@ -139,5 +232,6 @@ __all__ = [
     "codes_per_payload",
     "pack_codes",
     "unpack_codes",
+    "StreamPayload",
     "EcgStreamingApp",
 ]

@@ -37,11 +37,25 @@ class Adc12:
     def convert(self, volts: float) -> int:
         """Quantise ``volts`` to a 12-bit code, clamping at the rails."""
         self._conversions += 1
+        return self.quantise(volts)
+
+    def quantise(self, volts: float) -> int:
+        """The transfer function alone: :meth:`convert` without counting.
+
+        For codes computed after the fact from a recorded sample
+        instant, whose conversions were counted at sample time with
+        :meth:`count_conversions`.
+        """
         code = round((volts - self.vref_low) / self._span
                      * FULL_SCALE_CODE)
         if code < 0:
             return 0
         return code if code < FULL_SCALE_CODE else FULL_SCALE_CODE
+
+    def count_conversions(self, count: int) -> None:
+        """Count ``count`` conversions made now whose codes are computed
+        later with :meth:`quantise`."""
+        self._conversions += count
 
     def to_volts(self, code: int) -> float:
         """Inverse transfer function (midpoint reconstruction)."""

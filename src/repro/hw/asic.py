@@ -14,7 +14,7 @@ analog channel outputs the MCU's ADC samples.  Channels are backed by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Sequence, Set
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
@@ -49,6 +49,8 @@ class BiopotentialAsic:
             sim, name, table, calibration.asic_supply_v, initial_state="on",
             spec=ASIC_TRANSITIONS)
         self._sources: Dict[int, "SignalSource"] = {}
+        #: Channels read at least once; their sources are frozen.
+        self._sampled: Set[int] = set()
         self._reads = 0
 
     def connect_source(self, channel: int, source: "SignalSource") -> None:
@@ -56,8 +58,18 @@ class BiopotentialAsic:
 
         ``source`` must provide ``value_at(t_seconds) -> float`` (see
         :mod:`repro.signals.sources`).
+
+        Raises:
+            RuntimeError: ``channel`` has already been sampled.  Codes
+                buffered from it may still be computed from its source
+                (:meth:`channel_value`), so re-binding would silently
+                change samples already taken.
         """
         self._check_channel(channel)
+        if channel in self._sampled:
+            raise RuntimeError(
+                f"{self.name}: channel {channel} has already been "
+                f"sampled; connect its source before the first sample")
         self._sources[channel] = source
 
     def read_channel(self, channel: int) -> float:
@@ -65,12 +77,35 @@ class BiopotentialAsic:
 
         Unconnected channels read 0.0 (inputs shorted to reference).
         """
-        self._check_channel(channel)
+        if channel not in self._sampled:
+            self._check_channel(channel)
+            self._sampled.add(channel)
         self._reads += 1
+        return self.channel_value(channel, self._sim.now)
+
+    def count_reads(self, channels: Sequence[int]) -> None:
+        """Count one read of each of ``channels`` at the current instant.
+
+        For samplers that record the instant and compute the values
+        later with :meth:`channel_value`; the channels count as sampled
+        from now on, exactly as after :meth:`read_channel`.
+        """
+        if not self._sampled.issuperset(channels):
+            for channel in channels:
+                self._check_channel(channel)
+            self._sampled.update(channels)
+        self._reads += len(channels)
+
+    def channel_value(self, channel: int, at_ticks: int) -> float:
+        """Analog value of ``channel`` at simulation time ``at_ticks``.
+
+        Not counted as a read.  Sources are pure functions of time, so
+        this equals what :meth:`read_channel` returned at ``at_ticks``.
+        """
         source = self._sources.get(channel)
         if source is None:
             return 0.0
-        return source.value_at(to_seconds(self._sim.now))
+        return source.value_at(to_seconds(at_ticks))
 
     @property
     def reads(self) -> int:

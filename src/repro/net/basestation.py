@@ -47,7 +47,6 @@ class BaseStation:
         self.mac: Optional[Component] = None
         #: Received data frames, by source node id.
         self.received: Dict[str, List[Frame]] = {}
-        self._rx_log: List[Frame] = []
         #: (arrival time [s], frame) pairs, in delivery order.
         self.deliveries: List[tuple] = []
 
@@ -87,13 +86,12 @@ class BaseStation:
 
     def _deliver(self, frame: Frame) -> None:
         self.received.setdefault(frame.src, []).append(frame)
-        self._rx_log.append(frame)
         self.deliveries.append((to_seconds(self.sim.now), frame))
 
     @property
     def frames_received(self) -> int:
         """Total data frames delivered upward."""
-        return len(self._rx_log)
+        return len(self.deliveries)
 
     def frames_from(self, node_id: str) -> List[Frame]:
         """Data frames received from one node."""
@@ -108,7 +106,6 @@ class BaseStation:
         self.mcu.reset_measurement()
         self.radio.reset_measurement()
         self.received = {}
-        self._rx_log = []
         self.deliveries = []
 
     def collect_result(self, horizon_s: float) -> NodeEnergyResult:
@@ -132,9 +129,9 @@ class BaseStation:
 
     def latest_rx_time_s(self) -> Optional[float]:
         """Simulation time of the most recent delivery (diagnostics)."""
-        if not self._rx_log:
+        if not self.deliveries:
             return None
-        return to_seconds(self.sim.now)
+        return self.deliveries[-1][0]
 
 
 __all__ = ["BaseStation"]

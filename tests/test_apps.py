@@ -1,5 +1,7 @@
 """Unit/integration tests for the two case-study applications."""
 
+import zlib
+
 import pytest
 
 from conftest import run_quick
@@ -8,6 +10,7 @@ from repro.apps.ecg_streaming import (
     pack_codes,
     unpack_codes,
 )
+from repro.net.scenario import NodeSpec
 
 
 class TestPacking:
@@ -92,6 +95,104 @@ class TestStreamingApp:
         app = scenario.nodes[0].app
         assert app.codes_dropped > 0
         assert app.buffered_codes <= 8 * codes_per_payload(18)
+
+
+#: node1's codes, recorded from the eager sampling chain (every sample
+#: synthesised, read and converted as it was taken): the first two
+#: frames in full, then the CRC-32 of the first 30 frames' packed bytes
+#: and the sum of their codes.
+DEFERRED_CASES = {
+    # Two nodes, measurement noise on: every code differs.
+    "noise": (
+        dict(num_nodes=2, ecg_noise_mv=0.05, measure_s=1.0),
+        [[1987, 2010, 2051, 2050, 2084, 2070, 2080, 2068, 2044, 2046,
+          2013, 2026],
+         [2034, 2039, 2044, 2045, 2082, 2069, 2101, 2081, 2055, 2052,
+          2099, 2080]],
+        779481956, 770921, 0),
+    # Five channels: 12-code payloads split sample vectors.
+    "five_channel": (
+        dict(ecg_noise_mv=0.05, measure_s=1.0,
+             node_specs=[NodeSpec(channels=(0, 1, 2, 3, 4)), NodeSpec()]),
+        [[2031, 2018, 2029, 2018, 2029, 2018, 2080, 2068, 2080, 2068,
+          2080],
+         [2027, 2035, 2027, 2035, 2027, 2082, 2069, 2082, 2069, 2082,
+          2024, 2033]],
+        994668011, 770082, 0),
+    # 400 Hz at a 30 ms cycle: drop-oldest discards whole vectors.
+    "overload": (
+        dict(sampling_hz=400.0, ecg_noise_mv=0.05, measure_s=1.0),
+        [[2015, 2027, 2109, 2086, 1994, 2014, 2053, 2051, 2042, 2044,
+          1996, 2015],
+         [2059, 2054, 2063, 2057, 2055, 2052, 2090, 2074, 2003, 2020,
+          2031, 2037]],
+        1175527041, 770580, 348),
+    # Five channels at 400 Hz: the 96-code backlog limit is not a
+    # multiple of five, so drop-oldest itself moves the phase.
+    "five_channel_overload": (
+        dict(ecg_noise_mv=0.05, measure_s=1.0,
+             node_specs=[NodeSpec(channels=(0, 1, 2, 3, 4),
+                                  sampling_hz=400.0), NodeSpec()]),
+        [[2059, 2063, 2057, 2063, 2057, 2063, 2055, 2052, 2055, 2052,
+          2055, 2090],
+         [1992, 2084, 2070, 2084, 2070, 2084, 2107, 2085, 2107, 2085,
+          2107, 2080]],
+        3709035718, 774226, 1662),
+}
+
+
+class TestDeferredStreamingCodes:
+    """Codes computed on read equal the eagerly sampled ones."""
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED_CASES))
+    def test_codes_match_eager_recording(self, case):
+        overrides, first_two, crc, total, dropped = DEFERRED_CASES[case]
+        scenario, _ = run_quick(**overrides)
+        frames = scenario.base_station.frames_from("node1")[:30]
+        assert len(frames) == 30
+        assert [frame.payload["codes"] for frame in frames[:2]] \
+            == first_two
+        assert zlib.crc32(b"".join(
+            frame.payload["packed"] for frame in frames)) == crc
+        assert sum(sum(frame.payload["codes"]) for frame in frames) \
+            == total
+        assert scenario.nodes[0].app.codes_dropped == dropped
+
+    def test_reading_codes_is_cached_and_uncounted(self):
+        scenario, _ = run_quick(num_nodes=2, ecg_noise_mv=0.05,
+                                measure_s=1.0)
+        node = scenario.nodes[0]
+        conversions, reads = node.adc.conversions, node.asic.reads
+        assert conversions > 0 and reads > 0
+        for frame in scenario.base_station.frames_from("node1"):
+            content = frame.payload
+            codes = content["codes"]
+            assert content["codes"] is codes
+            assert unpack_codes(content["packed"], len(codes)) == codes
+            assert dict(content) == {
+                "kind": "ecg_stream", "codes": codes,
+                "packed": pack_codes(codes), "channels": (0, 1)}
+        assert node.adc.conversions == conversions
+        assert node.asic.reads == reads
+
+    def test_counters_count_at_sample_time(self):
+        scenario, _ = run_quick(num_nodes=1, measure_s=1.0)
+        node = scenario.nodes[0]
+        app = node.app
+        # Conversions run through warm-up too; reads restart with the
+        # measurement window.  Both count two channels per sample.
+        assert node.adc.conversions == 2 * app.samples_taken
+        assert 0 < node.asic.reads < node.adc.conversions
+        assert node.asic.reads % 2 == 0
+
+    def test_payload_is_read_only(self):
+        scenario, _ = run_quick(num_nodes=1, measure_s=1.0)
+        content = scenario.base_station.frames_from("node1")[0].payload
+        assert set(content) == {"kind", "codes", "packed", "channels"}
+        with pytest.raises(TypeError):
+            content["codes"] = []
+        with pytest.raises(KeyError):
+            content["lag_samples"]
 
 
 class TestRpeakApp:

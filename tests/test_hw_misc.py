@@ -48,6 +48,14 @@ class TestAdc12:
         adc.convert(1.0)
         assert adc.conversions == 2
 
+    def test_quantise_is_uncounted_convert(self):
+        adc = Adc12(0.0, 2.5)
+        for volts in (-1.0, 0.0, 0.77, 1.25, 2.44, 5.0):
+            assert adc.quantise(volts) == Adc12(0.0, 2.5).convert(volts)
+        assert adc.conversions == 0
+        adc.count_conversions(3)
+        assert adc.conversions == 3
+
 
 class TestBiopotentialAsic:
     def test_constant_power(self, sim, cal):
@@ -89,6 +97,43 @@ class TestBiopotentialAsic:
         sim.at(seconds(30.0), asic.power_off)
         sim.run_until(seconds(60.0))
         assert asic.energy_mj() == pytest.approx(315.0)
+
+    def test_rebinding_before_first_sample(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        asic.connect_source(0, ConstantSource(1.0))
+        asic.connect_source(0, ConstantSource(2.0))
+        assert asic.read_channel(0) == 2.0
+
+    @pytest.mark.parametrize("sample", ["read", "count"])
+    def test_rebinding_after_sampling_raises(self, sim, cal, sample):
+        asic = BiopotentialAsic(sim, cal)
+        asic.connect_source(0, ConstantSource(1.0))
+        if sample == "read":
+            asic.read_channel(0)
+        else:
+            asic.count_reads((0,))
+        with pytest.raises(RuntimeError, match="already been sampled"):
+            asic.connect_source(0, ConstantSource(2.0))
+        # Only the sampled channel is frozen.
+        asic.connect_source(1, ConstantSource(2.0))
+        assert asic.channel_value(0, sim.now) == 1.0
+
+    def test_count_reads_validates_and_counts(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        asic.count_reads((0, 1))
+        assert asic.reads == 2
+        with pytest.raises(ValueError):
+            asic.count_reads((0, NUM_CHANNELS))
+
+    def test_channel_value_matches_read_and_is_uncounted(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        asic.connect_source(0, SineSource(1.0, amplitude=1.0))
+        read = []
+        sim.at(seconds(0.25), lambda: read.append(asic.read_channel(0)))
+        sim.run_until(seconds(1.0))
+        assert asic.channel_value(0, seconds(0.25)) == read[0]
+        assert asic.channel_value(5, seconds(0.25)) == 0.0
+        assert asic.reads == 1
 
     def test_reads_counter_and_reset(self, sim, cal):
         asic = BiopotentialAsic(sim, cal)

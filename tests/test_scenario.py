@@ -134,6 +134,23 @@ class TestRunSemantics:
         with pytest.raises(RuntimeError, match="failed to join"):
             BanScenario(config).run()
 
+    def test_latest_rx_time_is_last_delivery(self):
+        from repro.sim.simtime import seconds, to_seconds
+        scenario, _ = run_quick(num_nodes=2, measure_s=1.0)
+        for node in scenario.nodes:
+            node.stack.stop_all()
+        scenario.sim.run_until(scenario.sim.now + seconds(0.5))
+        base = scenario.base_station
+        last_arrival = base.deliveries[-1][0]
+        assert to_seconds(scenario.sim.now) > last_arrival + 0.4
+        assert base.latest_rx_time_s() == last_arrival
+        assert base.frames_received == len(base.deliveries) \
+            == sum(len(base.frames_from(n.node_id)) for n in scenario.nodes)
+
+    def test_latest_rx_time_none_before_delivery(self):
+        scenario = BanScenario(quick_config(num_nodes=1, measure_s=1.0))
+        assert scenario.base_station.latest_rx_time_s() is None
+
     def test_run_scenario_convenience(self):
         result = run_scenario(mac="static", app="rpeak", num_nodes=2,
                               cycle_ms=60.0, measure_s=1.0)
