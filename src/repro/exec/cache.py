@@ -38,9 +38,10 @@ SCHEMA_VERSION = 1
 
 #: Subpackages whose source text feeds the code-version salt: everything
 #: that can influence a simulated energy figure.  ``analysis`` is
-#: deliberately absent — it only *consumes* results.
-_SALTED_PACKAGES = ("core", "sim", "tinyos", "hw", "phy", "mac", "apps",
-                    "signals", "net", "faults")
+#: deliberately absent — it only *consumes* results.  The lint's CFG001
+#: and FPC rules read this tuple too, as the packages that feed the key.
+SALTED_PACKAGES = ("core", "sim", "tinyos", "hw", "phy", "mac", "apps",
+                   "signals", "net", "faults")
 
 #: Default cache directory (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -119,7 +120,7 @@ def _compute_code_salt() -> str:
     """
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256(f"schema={SCHEMA_VERSION};".encode())
-    for package in _SALTED_PACKAGES:
+    for package in SALTED_PACKAGES:
         for source in sorted((package_root / package).rglob("*.py")):
             digest.update(source.relative_to(package_root).as_posix()
                           .encode())
@@ -263,4 +264,5 @@ class ResultCache:
 
 
 __all__ = ["CacheStats", "ResultCache", "Uncacheable", "SCHEMA_VERSION",
-           "DEFAULT_CACHE_DIR", "code_salt", "config_fingerprint"]
+           "SALTED_PACKAGES", "DEFAULT_CACHE_DIR", "code_salt",
+           "config_fingerprint"]

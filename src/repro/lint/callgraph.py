@@ -27,17 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import FileContext
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+from .rules import dotted_name, is_classvar, is_dataclass_decorated
 
 
 def annotation_class_names(annotation: Optional[ast.AST]
@@ -58,7 +48,7 @@ def annotation_class_names(annotation: Optional[ast.AST]
         except SyntaxError:
             return ()
     if isinstance(annotation, ast.Subscript):
-        head = _dotted(annotation.value)
+        head = dotted_name(annotation.value)
         tail = (head or "").split(".")[-1]
         if tail in ("Optional", "Union"):
             inner = annotation.slice
@@ -73,7 +63,7 @@ def annotation_class_names(annotation: Optional[ast.AST]
             and isinstance(annotation.op, ast.BitOr):  # X | None
         return (annotation_class_names(annotation.left)
                 + annotation_class_names(annotation.right))
-    name = _dotted(annotation)
+    name = dotted_name(annotation)
     if name is None:
         return ()
     tail = name.split(".")[-1]
@@ -90,15 +80,10 @@ class FunctionNode:
     """One function or method definition in the tree."""
 
     qualname: str  #: ``module_path::Class.method`` / ``module_path::f``
-    module_path: str
     class_name: Optional[str]
     name: str
     node: ast.AST  #: the FunctionDef / AsyncFunctionDef
     ctx: FileContext
-
-    @property
-    def lineno(self) -> int:
-        return getattr(self.node, "lineno", 1)
 
 
 @dataclass
@@ -106,7 +91,6 @@ class ClassNode:
     """One class definition with its statically harvested shape."""
 
     name: str
-    module_path: str
     node: ast.ClassDef
     ctx: FileContext
     #: Base-class names (last dotted component), in declaration order.
@@ -124,27 +108,9 @@ class ClassNode:
     is_dataclass: bool = False
 
 
-def _is_classvar(annotation: ast.AST) -> bool:
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    name = _dotted(target)
-    return name is not None and name.split(".")[-1] == "ClassVar"
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        name = _dotted(target)
-        if name is not None and name.split(".")[-1] == "dataclass":
-            return True
-    return False
-
-
 def _is_property(node: ast.AST) -> bool:
     for decorator in getattr(node, "decorator_list", ()):
-        name = _dotted(decorator)
+        name = dotted_name(decorator)
         if name is not None and name.split(".")[-1] in (
                 "property", "cached_property"):
             return True
@@ -187,7 +153,7 @@ class CallGraph:
         else:
             qualname = f"{ctx.module_path}::{class_node.name}.{name}"
         function = FunctionNode(
-            qualname=qualname, module_path=ctx.module_path,
+            qualname=qualname,
             class_name=class_node.name if class_node else None,
             name=name, node=node, ctx=ctx)
         self.functions[qualname] = function
@@ -201,18 +167,18 @@ class CallGraph:
     def _index_class(self, ctx: FileContext, node: ast.ClassDef) -> None:
         bases = []
         for base in node.bases:
-            base_name = _dotted(base)
+            base_name = dotted_name(base)
             if base_name is not None:
                 bases.append(base_name.split(".")[-1])
-        info = ClassNode(name=node.name, module_path=ctx.module_path,
-                         node=node, ctx=ctx, bases=tuple(bases),
-                         is_dataclass=_is_dataclass_decorated(node))
+        info = ClassNode(name=node.name, node=node, ctx=ctx,
+                         bases=tuple(bases),
+                         is_dataclass=is_dataclass_decorated(node))
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(ctx, stmt, class_node=info)
             elif isinstance(stmt, ast.AnnAssign) \
                     and isinstance(stmt.target, ast.Name):
-                if _is_classvar(stmt.annotation):
+                if is_classvar(stmt.annotation):
                     info.classvars.add(stmt.target.id)
                 else:
                     info.ann_fields[stmt.target.id] = stmt
@@ -263,7 +229,7 @@ class CallGraph:
             return self._infer_ctor(value.body) \
                 + self._infer_ctor(value.orelse)
         if isinstance(value, ast.Call):
-            name = _dotted(value.func)
+            name = dotted_name(value.func)
             if name is not None:
                 tail = name.split(".")[-1]
                 if tail in self.classes:
@@ -389,7 +355,7 @@ class CallGraph:
                 found.extend(self.expr_types(operand, env))
             return tuple(dict.fromkeys(found))
         if isinstance(value, ast.Call):
-            name = _dotted(value.func)
+            name = dotted_name(value.func)
             if name is not None and name.split(".")[-1] in self.classes:
                 return (name.split(".")[-1],)
             # Return-annotation propagation: the type of

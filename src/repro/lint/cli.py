@@ -1,9 +1,9 @@
 """``python -m repro.lint`` / ``repro-ban lint`` command line.
 
 Exit codes: 0 — clean (no unsuppressed findings); 1 — findings; 2 —
-usage/configuration error.  ``--format json`` emits the CI-artifact
-document described in :mod:`repro.lint.report`; ``--output`` writes it
-to a file while the gate summary still goes to stdout.
+usage error.  ``--format json`` emits the CI-artifact document
+described in :mod:`repro.lint.report`; ``--output`` writes it to a
+file while the gate summary still goes to stdout.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .config import ConfigError, load_config
-from .engine import lint_paths
+from .engine import LintConfig, lint_paths
 from .report import render_json, render_text
 from .rules import iter_rules
 
@@ -35,12 +34,9 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
                         help="write the report to PATH instead of "
                              "stdout (a one-line gate summary still "
                              "prints)")
-    parser.add_argument("--pyproject", metavar="PATH", default=None,
-                        help="explicit pyproject.toml carrying "
-                             "[tool.repro-lint] (default: nearest)")
     parser.add_argument("--select", metavar="CODES", default=None,
                         help="comma-separated rule codes to run "
-                             "(overrides configuration)")
+                             "(default: every rule)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="include waived findings in text output")
     parser.add_argument("--list-rules", action="store_true",
@@ -69,19 +65,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("error: no such path: %s\n"
                          % ", ".join(missing))
         return 2
-    try:
-        config = load_config(
-            paths,
-            Path(args.pyproject) if args.pyproject else None)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
-    if args.select:
-        from dataclasses import replace
-        codes = tuple(code.strip() for code in args.select.split(",")
-                      if code.strip())
-        config = replace(config, select=codes)
-    report = lint_paths(paths, config)
+    codes = tuple(code.strip() for code in (args.select or "").split(",")
+                  if code.strip())
+    report = lint_paths(paths, LintConfig(select=codes or None))
     rendered = (render_json(report) if args.format == "json"
                 else render_text(report, args.show_suppressed))
     if args.output:

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .config import LintConfig
-
 #: Matches one suppression comment.  Group 1: the rule-code list;
 #: group 2: the reason (possibly empty).
 _SUPPRESS_RE = re.compile(
@@ -36,6 +34,23 @@ SUPPRESSION_RULE = "SUP001"
 STALE_RULE = "SUP002"
 #: Reserved code for files the parser rejects.
 PARSE_RULE = "PARSE"
+
+
+@dataclass(frozen=True)
+class LintConfig:
+    """Which rules a run checks.
+
+    Rule parameters (the DET002 allowlist, the DET003 and CFG001
+    package sets, ...) are module constants next to the rule that
+    reads them: this repository is the linter's only subject.
+    """
+
+    #: Rule codes to run; ``None`` means every registered rule.
+    select: Optional[Tuple[str, ...]] = None
+
+    def rule_enabled(self, code: str) -> bool:
+        """Whether ``code`` is selected for this run."""
+        return self.select is None or code in self.select
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class FileContext:
 
     def finding_at(self, rule: str, line: int, col: int,
                    message: str) -> Finding:
-        """Build a finding at an explicit location (tree analyses)."""
+        """Build a finding at an explicit location (cross-file pass)."""
         return Finding(rule=rule, path=self.path, line=line,
                        col=col + 1, message=message)
 
@@ -225,35 +240,20 @@ def _rule_findings(ctx: FileContext) -> List[Finding]:
     return findings
 
 
-def _run_tree_analyses(contexts: Sequence[FileContext],
-                       config: LintConfig
-                       ) -> Tuple[List[Finding], Dict[str, object]]:
-    """Run the cross-file analyses over the whole context set.
+def _run_fingerprint(contexts: Sequence[FileContext], config: LintConfig
+                     ) -> Tuple[List[Finding], Dict[str, object]]:
+    """Run the fingerprint-closure pass over the whole context set.
 
-    Unlike per-file rules, a tree analysis sees every parsed file at
-    once: the units pass learns annotations tree-wide, and the FPC
-    closure starts at the scenario config in ``net/`` and follows
-    field annotations into every other package.  An analysis runs when
-    any of its codes is enabled; its findings are filtered per code.
+    Unlike per-file rules it sees every parsed file at once: the FPC
+    closure starts at the scenario config in ``net/`` and follows field
+    annotations into every other package.
     """
-    from . import fingerprint, rngprov, units
-    findings: List[Finding] = []
-    extras: Dict[str, object] = {}
-    for codes, run in ((units.CODES, units.analyze_units),
-                       (rngprov.CODES, rngprov.analyze_rng),
-                       (fingerprint.CODES,
-                        fingerprint.analyze_fingerprint)):
-        if not any(config.rule_enabled(code) for code in codes):
-            continue
-        result = run(contexts, config)  # type: ignore[operator]
-        if isinstance(result, tuple):
-            produced, extra = result
-            extras.update(extra)
-        else:
-            produced = result
-        findings.extend(item for item in produced
-                        if config.rule_enabled(item.rule))
-    return findings, extras
+    from . import fingerprint
+    if not any(config.rule_enabled(code) for code in fingerprint.CODES):
+        return [], {}
+    findings, extras = fingerprint.analyze_fingerprint(contexts)
+    return ([item for item in findings if config.rule_enabled(item.rule)],
+            extras)
 
 
 def _string_spans(tree: ast.AST) -> set:
@@ -318,7 +318,7 @@ def lint_source(source: str, path: str, config: Optional[LintConfig] = None,
                 module_path: Optional[str] = None) -> List[Finding]:
     """Lint one file's text; the core single-file entry point.
 
-    The tree analyses run too, over the single-file context set —
+    The fingerprint-closure pass runs too, over the one-file context set —
     which is what lets a fixture co-locate a config dataclass with the
     code that reads it and still be checked end to end.
     """
@@ -328,7 +328,7 @@ def lint_source(source: str, path: str, config: Optional[LintConfig] = None,
     if ctx is None:
         return parse_findings
     findings = _rule_findings(ctx)
-    tree_findings, _ = _run_tree_analyses([ctx], config)
+    tree_findings, _ = _run_fingerprint([ctx], config)
     findings.extend(tree_findings)
     return _finalize_file(ctx, findings)
 
@@ -349,28 +349,25 @@ def lint_paths(paths: Sequence[Path],
     """Lint every Python file under ``paths`` into one report.
 
     Parses everything first, then runs the per-file rules and the
-    cross-file tree analyses over the full context set, and finally
-    resolves suppressions file by file (stale-waiver detection needs
-    the complete finding list for a file, including findings a tree
-    analysis reported into it).
+    cross-file fingerprint-closure pass over the full context set, and
+    finally resolves suppressions file by file (stale-waiver detection
+    needs the complete finding list for a file, including findings the
+    closure pass reported into it).
     """
     config = config or LintConfig()
     report = LintReport()
     contexts: List[FileContext] = []
     for file_path in iter_python_files([Path(p) for p in paths]):
-        module_path = _module_path(file_path)
-        if any(module_path.endswith(suffix) or file_path.match(suffix)
-               for suffix in config.exclude):
-            continue
         source = file_path.read_text(encoding="utf-8")
         ctx, parse_findings = _collect_context(
-            source, str(file_path), config, module_path=module_path)
+            source, str(file_path), config,
+            module_path=_module_path(file_path))
         report.files_scanned += 1
         if ctx is None:
             report.findings.extend(parse_findings)
             continue
         contexts.append(ctx)
-    tree_findings, extras = _run_tree_analyses(contexts, config)
+    tree_findings, extras = _run_fingerprint(contexts, config)
     report.extras.update(extras)
     by_path: Dict[str, List[Finding]] = {}
     for item in tree_findings:
@@ -385,6 +382,7 @@ def lint_paths(paths: Sequence[Path],
 __all__ = [
     "FileContext",
     "Finding",
+    "LintConfig",
     "LintReport",
     "PARSE_RULE",
     "STALE_RULE",

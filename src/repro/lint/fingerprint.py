@@ -11,7 +11,7 @@ This pass proves coverage statically, on top of the
 :mod:`repro.lint.callgraph` class index and receiver typing:
 
 * **The fingerprint closure** — class names reachable from the
-  configured roots (``BanScenarioConfig``, ``MultiBanScenario``) via
+  roots (``BanScenarioConfig``, ``MultiBanScenario``) via
   dataclass field annotations, unwrapped through
   ``Optional``/``Union``/containers exactly as ``_encode`` recurses
   (``Callable`` fields stop the walk: a config embedding a callable is
@@ -40,12 +40,18 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import (CallGraph, annotation_class_names,
-                        build_call_graph, _dotted)
-from .config import LintConfig
+from ..exec.cache import SALTED_PACKAGES
+from .callgraph import CallGraph, annotation_class_names, build_call_graph
 from .engine import FileContext, Finding
+from .rules import dotted_name
 
 CODES = ("FPC001", "FPC002")
+
+#: Root classes of the cache-fingerprint closure.
+ROOTS: Tuple[str, ...] = ("BanScenarioConfig", "MultiBanScenario")
+
+#: Class-name pattern selecting config-shaped dataclasses for FPC002.
+CONFIG_PATTERN = re.compile("(Config|Spec|Plan)$")
 
 #: Annotation heads that stop the closure walk: values of these types
 #: have no canonical serialisation, so ``_encode`` raises
@@ -78,7 +84,7 @@ def field_type_names(annotation: Optional[ast.AST]) -> Tuple[str, ...]:
         except SyntaxError:
             return ()
     if isinstance(annotation, ast.Subscript):
-        head = (_dotted(annotation.value) or "").split(".")[-1]
+        head = (dotted_name(annotation.value) or "").split(".")[-1]
         if head in _UNCACHEABLE_HEADS:
             return ()
         inner = annotation.slice
@@ -138,20 +144,16 @@ def fingerprint_closure(graph: CallGraph,
     return closure
 
 
-def _is_salted(ctx: FileContext, packages: Sequence[str]) -> bool:
-    return ctx.package in packages
+def _is_salted(ctx: FileContext) -> bool:
+    """Whether ``ctx`` is simulation code: a cache-salted package."""
+    return ctx.package in SALTED_PACKAGES
 
 
-def analyze_fingerprint(contexts: Sequence[FileContext],
-                        config: LintConfig,
-                        graph: Optional[CallGraph] = None,
+def analyze_fingerprint(contexts: Sequence[FileContext]
                         ) -> Tuple[List[Finding], Dict[str, object]]:
     """Run the FPC closure + rules; return findings and report extras."""
-    if graph is None:
-        graph = build_call_graph(contexts)
-    closure = fingerprint_closure(graph, config.fpc_roots)
-    pattern = re.compile(config.fpc_pattern)
-    packages = config.fpc_packages
+    graph = build_call_graph(contexts)
+    closure = fingerprint_closure(graph, ROOTS)
     findings: List[Finding] = []
 
     #: Closure dataclasses, with their fingerprinted/known attr names.
@@ -169,17 +171,17 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
     constructed: Set[str] = set()
 
     for ctx in contexts:
-        if not _is_salted(ctx, packages):
+        if not _is_salted(ctx):
             continue
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                callee = _dotted(node.func)
+                callee = dotted_name(node.func)
                 if callee is not None:
                     constructed.add(callee.split(".")[-1])
 
     for qualname, function in graph.functions.items():
         ctx = function.ctx
-        if not _is_salted(ctx, packages):
+        if not _is_salted(ctx):
             continue
         env = graph.local_env(function)
         for node in ast.walk(function.node):
@@ -203,11 +205,11 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
                         f"from fields"))
                     break
                 if class_name not in closure \
-                        and pattern.search(class_name) \
+                        and CONFIG_PATTERN.search(class_name) \
                         and class_name not in reads \
-                        and any(info.is_dataclass and _is_salted(
-                            info.ctx, packages)
-                            for info in graph.classes.get(class_name, ())):
+                        and any(info.is_dataclass and _is_salted(info.ctx)
+                                for info in
+                                graph.classes.get(class_name, ())):
                     reads[class_name] = (ctx, node.lineno,
                                          node.col_offset, node.attr)
 
@@ -215,8 +217,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
         if class_name in constructed:
             continue  # derived inside simulation code from the key
         for info in graph.classes[class_name]:
-            if not info.is_dataclass or not _is_salted(info.ctx,
-                                                       packages):
+            if not info.is_dataclass or not _is_salted(info.ctx):
                 continue
             findings.append(info.ctx.finding_at(
                 "FPC002", info.node.lineno, info.node.col_offset,
@@ -229,8 +230,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
 
     extras: Dict[str, object] = {
         "fingerprint": {
-            "roots": sorted(set(config.fpc_roots)
-                            & set(graph.classes)),
+            "roots": sorted(set(ROOTS) & set(graph.classes)),
             "closure": sorted(closure),
             "checked_dataclasses": sorted(known_attrs),
         },

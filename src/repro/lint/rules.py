@@ -4,14 +4,17 @@ Each rule is a pure function ``FileContext -> list[Finding]`` wrapped
 in a :class:`Rule` record carrying its code, title and rationale (the
 rationale is what ``docs/static_analysis.md`` and ``--list-rules``
 print).  Rules never consult global state: everything they need —
-source lines, AST, configuration — arrives in the context, which is
-what makes them unit-testable on five-line fixture snippets.
+source lines, AST, module path — arrives in the context, which is
+what makes them unit-testable on five-line fixture snippets.  Each
+rule's parameters (allowlists, package sets, name patterns) are module
+constants next to its check.
 
 The catalog:
 
 * DET001 — global-RNG draws perturb every other stream's sequence and
-  break seed-reproducibility, and an unseeded ``random.Random()``
-  cannot be replayed at all; only named, seeded generators are legal.
+  break seed-reproducibility, and an unseeded ``random.Random()`` or
+  ``default_rng()`` cannot be replayed at all; only named, seeded
+  generators are legal.
 * DET002 — wall-clock reads make results depend on host speed; only
   allowlisted profiling files may time anything.
 * DET003 — set iteration order is salted per process; in packages
@@ -33,6 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..exec.cache import SALTED_PACKAGES
 from .engine import FileContext, Finding
 
 
@@ -92,6 +96,8 @@ _NP_GENERATOR_CTORS = frozenset({
     "default_rng", "Generator", "SeedSequence", "PCG64", "MT19937",
     "Philox", "SFC64", "RandomState", "BitGenerator",
 })
+#: The NumPy constructors that draw OS entropy when called with no seed.
+_NP_SEEDABLE_CTORS = frozenset({"default_rng", "RandomState"})
 
 
 def _check_det001(context: FileContext) -> List[Finding]:
@@ -99,9 +105,11 @@ def _check_det001(context: FileContext) -> List[Finding]:
     findings: List[Finding] = []
     random_aliases = _module_aliases(tree, "random")
     numpy_aliases = _module_aliases(tree, "numpy")
-    # ``import numpy.random`` binds the *numpy* name too.
-    numpy_aliases |= _module_aliases(tree, "numpy.random")
-    np_random_aliases = {
+    # ``import numpy.random`` binds the *numpy* name; ``import
+    # numpy.random as npr`` binds the submodule itself.
+    np_random_imports = _module_aliases(tree, "numpy.random")
+    numpy_aliases |= np_random_imports & {"numpy"}
+    np_random_aliases = (np_random_imports - {"numpy"}) | {
         local for local, original
         in _import_from_bindings(tree, "numpy").items()
         if original == "random"}
@@ -110,6 +118,10 @@ def _check_det001(context: FileContext) -> List[Finding]:
         local for local, original
         in _import_from_bindings(tree, "random").items()
         if original == "Random"}
+    np_ctors = {
+        local for local, original
+        in _import_from_bindings(tree, "numpy.random").items()
+        if original in _NP_SEEDABLE_CTORS}
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -135,11 +147,17 @@ def _check_det001(context: FileContext) -> List[Finding]:
             if name is None:
                 continue
             parts = name.split(".")
-            is_random_class = (
+            is_seedable_ctor = (
                 (len(parts) == 2 and parts[0] in random_aliases
                  and parts[1] == "Random")
-                or (len(parts) == 1 and parts[0] in random_classes))
-            if is_random_class:
+                or (len(parts) == 1
+                    and parts[0] in random_classes | np_ctors)
+                or (len(parts) == 3 and parts[0] in numpy_aliases
+                    and parts[1] == "random"
+                    and parts[2] in _NP_SEEDABLE_CTORS)
+                or (len(parts) == 2 and parts[0] in np_random_aliases
+                    and parts[1] in _NP_SEEDABLE_CTORS))
+            if is_seedable_ctor:
                 if not node.args and not node.keywords:
                     findings.append(context.finding(
                         "DET001", node,
@@ -174,10 +192,18 @@ _TIME_READS = frozenset({
 })
 _DATETIME_READS = frozenset({"now", "utcnow", "today"})
 
+#: Files (module-path suffixes) allowed to read the wall clock.  All
+#: three only *time* the host (profiling / worker-utilisation metrics);
+#: no reading ever feeds a simulated quantity, which stays tick-derived.
+DET002_ALLOW: Tuple[str, ...] = (
+    "obs/profiler.py",   # the profiler aggregates perf_counter spans
+    "sim/kernel.py",     # run_until dispatch-rate + profiled loop
+    "exec/executor.py",  # batch/scenario wall-clock metrics, timeouts
+)
+
 
 def _check_det002(context: FileContext) -> List[Finding]:
-    if any(context.module_path.endswith(entry)
-           for entry in context.config.det002_allow):
+    if context.module_path.endswith(DET002_ALLOW):
         return []
     tree = context.tree
     findings: List[Finding] = []
@@ -196,8 +222,8 @@ def _check_det002(context: FileContext) -> List[Finding]:
         findings.append(context.finding(
             "DET002", node,
             f"{what} reads the wall clock; simulation quantities must "
-            "derive from sim ticks (profiling files belong in the "
-            "[tool.repro-lint.det002] allow list)"))
+            "derive from sim ticks (profiling files belong in "
+            "DET002_ALLOW)"))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -237,6 +263,10 @@ _SET_METHODS = frozenset({
 #: Builtins whose result order follows the (nondeterministic) argument
 #: order — materialising a set through them is still a violation.
 _ORDER_KEEPING_BUILTINS = frozenset({"list", "tuple", "enumerate"})
+
+#: Packages where a set-iteration order could reach the event queue or
+#: a ledger.
+DET003_PACKAGES: Tuple[str, ...] = ("sim", "mac", "net", "faults")
 
 
 def _annotation_is_set(annotation: Optional[ast.AST]) -> bool:
@@ -293,7 +323,7 @@ def _is_set_expr(node: ast.AST, set_names: Set[str]) -> bool:
 
 
 def _check_det003(context: FileContext) -> List[Finding]:
-    if context.package not in context.config.det003_packages:
+    if context.package not in DET003_PACKAGES:
         return []
     tree = context.tree
     set_names = _collect_set_names(tree)
@@ -327,6 +357,12 @@ def _check_det003(context: FileContext) -> List[Finding]:
 # ----------------------------------------------------------------------
 # FLT001 — no float equality on energy/time values
 # ----------------------------------------------------------------------
+#: Identifier fragments (matched case-insensitively) marking
+#: energy/time-like values.
+FLT001_NAME_PATTERN = re.compile(
+    "energy|joule|charge|_mj|_uj|_nj|_mah|wall|elapsed|duration"
+    "|_seconds|seconds_|lifetime", re.I)
+
 def _operand_identifier(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
@@ -342,7 +378,6 @@ def _is_fractional_float(node: ast.AST) -> bool:
 
 
 def _check_flt001(context: FileContext) -> List[Finding]:
-    pattern = re.compile(context.config.flt001_name_pattern, re.I)
     findings: List[Finding] = []
     for node in ast.walk(context.tree):
         if not isinstance(node, ast.Compare):
@@ -354,7 +389,8 @@ def _check_flt001(context: FileContext) -> List[Finding]:
             pair = (operands[index], operands[index + 1])
             fractional = any(_is_fractional_float(item) for item in pair)
             named = any(
-                identifier is not None and pattern.search(identifier)
+                identifier is not None
+                and FLT001_NAME_PATTERN.search(identifier)
                 for identifier in map(_operand_identifier, pair))
             if fractional or named:
                 findings.append(context.finding(
@@ -443,7 +479,13 @@ def _check_mut001(context: FileContext) -> List[Finding]:
 # ----------------------------------------------------------------------
 # CFG001 — cache-fingerprinted configs annotated and hash-stable
 # ----------------------------------------------------------------------
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
+#: Dataclasses whose names match this, in these packages, feed the
+#: result-cache fingerprint: the cache's salted packages, plus ``exec``.
+CFG001_PATTERN = re.compile("(Config|Spec)$")
+CFG001_PACKAGES: Tuple[str, ...] = SALTED_PACKAGES + ("exec",)
+
+def is_dataclass_decorated(node: ast.ClassDef) -> bool:
+    """Whether a ``@dataclass`` / ``@dataclass(...)`` decorates ``node``."""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator,
                                               ast.Call) else decorator
@@ -453,7 +495,8 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
     return False
 
 
-def _is_classvar(annotation: ast.AST) -> bool:
+def is_classvar(annotation: ast.AST) -> bool:
+    """Whether an annotation is ``ClassVar`` or ``ClassVar[...]``."""
     target = annotation
     if isinstance(target, ast.Subscript):
         target = target.value
@@ -462,16 +505,15 @@ def _is_classvar(annotation: ast.AST) -> bool:
 
 
 def _check_cfg001(context: FileContext) -> List[Finding]:
-    if context.package not in context.config.cfg001_packages:
+    if context.package not in CFG001_PACKAGES:
         return []
-    pattern = re.compile(context.config.cfg001_pattern)
     findings: List[Finding] = []
     for node in ast.walk(context.tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        if not pattern.search(node.name):
+        if not CFG001_PATTERN.search(node.name):
             continue
-        if not _is_dataclass_decorated(node):
+        if not is_dataclass_decorated(node):
             continue
         for statement in node.body:
             if isinstance(statement, ast.Assign):
@@ -486,7 +528,7 @@ def _check_cfg001(context: FileContext) -> List[Finding]:
                     "field of a cache-fingerprinted config must carry "
                     "a type annotation"))
             elif isinstance(statement, ast.AnnAssign):
-                if _is_classvar(statement.annotation):
+                if is_classvar(statement.annotation):
                     continue
                 field_name = dotted_name(statement.target) or "?"
                 if _annotation_is_set(statement.annotation):
@@ -519,8 +561,9 @@ RULES: Dict[str, Rule] = {
              "Draws from the process-global random module (or bare "
              "numpy.random) depend on call order across the whole "
              "process, so adding one node perturbs every other "
-             "stream; random.Random() with no seed and SystemRandom "
-             "draw OS entropy and can never be replayed.  Only "
+             "stream; random.Random(), default_rng() or RandomState() "
+             "with no seed, and SystemRandom, draw OS entropy and can "
+             "never be replayed.  Only "
              "named, seeded generators — random.Random(seed), "
              "numpy.random.default_rng(seed), "
              "Simulator.rng.stream(purpose) — are legal.",
@@ -529,7 +572,7 @@ RULES: Dict[str, Rule] = {
              "time.time/perf_counter/datetime.now make behaviour "
              "depend on host speed.  Profiling instrumentation that "
              "never feeds a simulated quantity is allowlisted per "
-             "file in [tool.repro-lint.det002].",
+             "file in DET002_ALLOW.",
              _check_det002),
         Rule("DET003", "no set iteration in order-sensitive packages",
              "Set iteration order varies across processes (hash "
@@ -567,53 +610,16 @@ RULES: Dict[str, Rule] = {
 
 
 def _no_check(context: FileContext) -> List[Finding]:
-    """Placeholder for codes the tree analyses and the engine report."""
+    """Placeholder for codes the closure pass and the engine report."""
     return []
 
 
-#: Codes produced by the tree analyses (units, RNG provenance, the
-#: fingerprint closure) and the suppression machinery rather than
-#: per-file checks.  They live in the catalog so ``--list-rules``,
-#: ``--select`` and the docs cover them, but the engine never calls
-#: their (empty) check.
+#: Codes produced by the fingerprint-closure pass and the suppression
+#: machinery rather than per-file checks.  They live in the catalog so
+#: ``--list-rules``, ``--select`` and the docs cover them, but the
+#: engine never calls their (empty) check.
 ANALYSIS_RULES: Dict[str, Rule] = {
     rule.code: rule for rule in (
-        Rule("UNI001", "no unit-mixing arithmetic",
-             "The energy model is E = I*Vdd*t: adding seconds to "
-             "joules, or J to mJ, books a number with the wrong "
-             "physical meaning.  Units are inferred from name "
-             "suffixes (_s, _a, _v, _mj, ...), conversion helpers "
-             "and '# unit:' annotations, then propagated through "
-             "assignments and arithmetic.",
-             _no_check),
-        Rule("UNI002", "return unit must match the declared unit",
-             "A function named energy_j (or annotated '# unit: j') "
-             "returning mJ poisons every caller that trusts the "
-             "name.  The declared unit is part of the signature.",
-             _no_check),
-        Rule("UNI003", "no current*current / voltage*voltage products",
-             "Power is I*Vdd.  Multiplying two currents (or two "
-             "voltages) is always a misspelling of that formula in "
-             "this codebase.",
-             _no_check),
-        Rule("UNI004", "calibration constants carry their unit",
-             "Public float constants in calibration modules seed the "
-             "whole energy model; one without a unit suffix or a "
-             "'# unit:' annotation is unauditable against the "
-             "paper's tables.",
-             _no_check),
-        Rule("RNG001", "no unseeded RNG construction",
-             "random.Random() / default_rng() with no argument (and "
-             "SystemRandom anywhere) seed from OS entropy: the run "
-             "can never be replayed.",
-             _no_check),
-        Rule("RNG002", "every RNG seed derives from a seed",
-             "A generator seeded from a literal, a counter or an id "
-             "replays within a run but collides across components "
-             "and bypasses the per-purpose stream split.  Seeds must "
-             "flow from a seed parameter/attribute or a "
-             "Simulator-owned stream (rng.stream(purpose)).",
-             _no_check),
         Rule("FPC001", "no reads of unfingerprinted config attributes",
              "config_fingerprint encodes exactly the dataclass "
              "fields of the scenario config closure.  Simulation "
@@ -653,4 +659,5 @@ def iter_rules() -> Iterable[Rule]:
 
 
 __all__ = ["ANALYSIS_RULES", "RULES", "Rule", "all_rule_codes",
-           "dotted_name", "iter_rules"]
+           "dotted_name", "is_classvar", "is_dataclass_decorated",
+           "iter_rules"]

@@ -3,9 +3,8 @@
 Every rule is exercised in both directions — it must fire on the
 violating fixture and stay silent on the compliant variant — plus the
 suppression machinery (including missing-reason rejection), the JSON
-reporter schema, configuration handling, the CLI, and the meta-test
-that ``src/repro`` itself lints clean under the repository's own
-``pyproject.toml`` configuration.
+reporter schema, rule selection and the built-in rule parameters, the
+CLI, and the meta-test that ``src/repro`` itself lints clean.
 """
 
 import json
@@ -16,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.exec.cache import SALTED_PACKAGES
 from repro.lint import (
     ANALYSIS_RULES,
     LintConfig,
@@ -23,14 +23,13 @@ from repro.lint import (
     all_rule_codes,
     lint_paths,
     lint_source,
-    load_config,
     render_json,
     render_text,
 )
 from repro.lint.cli import main as lint_main
-from repro.lint.config import ConfigError, config_from_table
 from repro.lint.engine import parse_suppressions
 from repro.lint.report import SCHEMA_VERSION, report_to_dict
+from repro.lint.rules import CFG001_PACKAGES, DET002_ALLOW, DET003_PACKAGES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,11 +44,6 @@ def rules_fired(source, module_path="x.py", config=None):
 # ----------------------------------------------------------------------
 # Per-rule fixtures: each fires on the violation, not on the fix
 # ----------------------------------------------------------------------
-#: DET001 alone, without the RNG provenance pass that also reports
-#: unseeded and literal-seeded generators.
-DET001_ONLY = LintConfig(select=("DET001",))
-
-
 class TestDet001GlobalRng:
     def test_module_level_draw_fires(self):
         assert rules_fired("import random\nx = random.random()\n") \
@@ -72,22 +66,20 @@ class TestDet001GlobalRng:
 
     def test_unseeded_random_instance_fires(self):
         # No seed means OS entropy: the run can never be replayed.
-        assert rules_fired("import random\nr = random.Random()\n",
-                           config=DET001_ONLY) == ["DET001"]
-        assert rules_fired("from random import Random\nr = Random()\n",
-                           config=DET001_ONLY) == ["DET001"]
-        assert rules_fired("import random as rnd\nr = rnd.Random()\n",
-                           config=DET001_ONLY) == ["DET001"]
+        assert rules_fired("import random\nr = random.Random()\n") \
+            == ["DET001"]
+        assert rules_fired("from random import Random\nr = Random()\n") \
+            == ["DET001"]
+        assert rules_fired("import random as rnd\nr = rnd.Random()\n") \
+            == ["DET001"]
 
     def test_system_random_fires(self):
-        assert rules_fired("import random\nr = random.SystemRandom()\n",
-                           config=DET001_ONLY) == ["DET001"]
+        assert rules_fired("import random\nr = random.SystemRandom()\n") \
+            == ["DET001"]
 
     def test_seeded_instances_are_legal(self):
-        # Seed-derived construction: legal under DET001 *and* the RNG
-        # provenance pass (literal seeds are RNG002's business).
-        assert rules_fired("import random\nr = random.Random(7)\n",
-                           config=DET001_ONLY) == []
+        # Any seeded construction replays exactly, so it is legal.
+        assert rules_fired("import random\nr = random.Random(7)\n") == []
         assert rules_fired(
             "from random import Random\nr = Random(x=seed)\n") == []
         source = (
@@ -119,10 +111,9 @@ class TestDet002WallClock:
         assert rules_fired("import time\ntime.sleep(1)\n") == []
 
     def test_allowlisted_file_is_exempt(self):
-        config = LintConfig(det002_allow=("obs/profiler.py",))
         source = "from time import perf_counter\nt = perf_counter()\n"
-        assert rules_fired(source, "obs/profiler.py", config) == []
-        assert rules_fired(source, "mac/base.py", config) \
+        assert rules_fired(source, "obs/profiler.py") == []
+        assert rules_fired(source, "mac/base.py") \
             == ["DET002", "DET002"]
 
 
@@ -367,32 +358,34 @@ class TestReporters:
 
 
 # ----------------------------------------------------------------------
-# Configuration
+# Configuration: rule selection and the built-in rule parameters
 # ----------------------------------------------------------------------
 class TestConfiguration:
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_table({"selct": ["DET001"]})
-        with pytest.raises(ConfigError):
-            config_from_table({"det002": {"alow": []}})
-
     def test_select_limits_rules(self):
-        config = config_from_table({"select": ["EXC001"]})
+        config = LintConfig(select=("EXC001",))
         source = "import random\nrandom.random()\n"
         assert rules_fired(source, config=config) == []
         assert config.rule_enabled("EXC001")
         assert not config.rule_enabled("DET001")
 
-    def test_repo_pyproject_parses(self):
-        config = load_config(pyproject=ROOT / "pyproject.toml")
-        assert "sim/kernel.py" in config.det002_allow
-        assert "sim" in config.det003_packages
+    def test_default_config_is_the_repositorys(self):
+        # The rule parameters are this repository's, with no config
+        # file: the profiling files may read the wall clock, so the
+        # kernel lints clean through the programmatic API too.
+        assert DET002_ALLOW == ("obs/profiler.py", "sim/kernel.py",
+                                "exec/executor.py")
+        assert DET003_PACKAGES == ("sim", "mac", "net", "faults")
+        assert CFG001_PACKAGES == SALTED_PACKAGES + ("exec",)
+        for module in ("sim/kernel.py", "exec/executor.py"):
+            path = ROOT / "src" / "repro" / module
+            findings = lint_source(path.read_text(encoding="utf-8"),
+                                   str(path), LintConfig())
+            assert [f for f in findings if not f.suppressed] == []
 
     def test_rule_registry_complete(self):
         assert all_rule_codes() == (
             "CFG001", "DET001", "DET002", "DET003", "EXC001", "FLT001",
-            "FPC001", "FPC002", "MUT001", "RNG001", "RNG002",
-            "SUP002", "UNI001", "UNI002", "UNI003", "UNI004")
+            "FPC001", "FPC002", "MUT001", "SUP002")
         for rule in RULES.values():
             assert rule.title and rule.rationale
         for rule in ANALYSIS_RULES.values():
@@ -452,10 +445,8 @@ class TestCli:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def src_report():
-    """One lint run over ``src`` under the repository configuration,
-    shared by the tree meta-tests."""
-    config = load_config(pyproject=ROOT / "pyproject.toml")
-    return lint_paths([ROOT / "src"], config)
+    """One lint run over ``src``, shared by the tree meta-tests."""
+    return lint_paths([ROOT / "src"], LintConfig())
 
 
 class TestTreeIsClean:

@@ -161,7 +161,7 @@ class TestFpcRules:
             class BanScenarioConfig:
                 sub: SubConfig = None
         """, module_path="net/m%d.py")
-        _, extras = analyze_fingerprint([ctx], LintConfig())
+        _, extras = analyze_fingerprint([ctx])
         closure = extras["fingerprint"]["closure"]
         assert "BanScenarioConfig" in closure
         assert "SubConfig" in closure
